@@ -33,14 +33,17 @@ model, and under the asynchronous streaming schedule part of the
 collective hides behind the E-step tail — the window derived from the
 word-completion times of :mod:`repro.saberlda.scheduling`.
 
-**Bulk-synchronous training** (:mod:`~repro.distributed.trainer`).
+**Cost attribution over one training loop** (:mod:`~repro.distributed.trainer`).
 Because ESCA freezes ``A`` and ``B̂`` during the E-step, resampling order
-is statistically irrelevant; :class:`DistributedTrainer` exploits this by
-executing the chunk mathematics in global stream order with a single RNG
-stream — making the ``N``-device run *bit-identical* to the sequential
-trainer at the same seed in **every** parallelism mode — while
-attributing each device's simulated cost per the mode.  An iteration
-costs ``max_d(shard phases) + exposed collective``.
+is statistically irrelevant.  :class:`DistributedTrainer` therefore runs
+the single-device loop itself (:func:`repro.saberlda.trainer.run_esca`:
+chunks in global stream order, one RNG stream), which makes the
+``N``-device run *bit-identical* to the sequential trainer at the same
+seed in **every** parallelism mode.  What it adds is a
+:class:`~repro.distributed.trainer.PoolCoster`: the shard plans, the
+per-device partial counts merged through the collectives, and each
+device's simulated cost per the mode.  An iteration costs
+``max_d(shard phases) + exposed collective``.
 
 Choosing a ``parallelism`` mode (:class:`DistributedTrainer`), and what
 each mode hands to serving:

@@ -1,13 +1,13 @@
-"""Multi-device SaberLDA training across a simulated device pool.
+"""Multi-device SaberLDA training: a cost attribution over the single-device loop.
 
-The distributed trainer runs the *same mathematics* as the single-device
-:class:`~repro.saberlda.trainer.SaberLDATrainer` — ESCA is bulk
-synchronous, so resampling every chunk against the frozen ``A``/``B̂`` and
-merging the integer count matrices afterwards is order-independent and
-exact.  The trainer therefore iterates the chunk layouts in global stream
-order with one RNG stream (bit-identical to the sequential run at the
-same seed) in every mode, while the *cost* attribution follows the
-selected ``parallelism``:
+ESCA is bulk synchronous — every chunk is resampled against the frozen
+``A``/``B̂``, then the integer counts are rebuilt — so resampling order
+is irrelevant and merging per-device counts is exact.  The distributed
+trainer therefore runs the very loop of the single-device trainer
+(:func:`~repro.saberlda.trainer.run_esca`: the chunk layouts in global
+stream order, one RNG stream, bit-identical at the same seed in every
+mode) and differs only in its :class:`PoolCoster`, which attributes the
+cost of each iteration per the selected ``parallelism``:
 
 * ``"data"`` — chunks are sharded (:class:`~repro.distributed.shard.ShardPlan`),
   ``B`` is replicated: every device is charged the phases of its own
@@ -37,21 +37,21 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..bench.timing import stopwatch
 from ..core.count_matrices import SparseDocTopicMatrix, count_by_word_topic
 from ..core.model import LDAModel
 from ..core.tokens import TokenList
 from ..gpusim.profiler import PHASE_PREPROCESSING, PHASE_SAMPLING
 from ..gpusim.streams import PCIE_P2P, DevicePool, InterconnectSpec
 from ..saberlda.config import SaberLDAConfig
-from ..saberlda.costing import WorkloadStats, _hot_token_fraction
-from ..saberlda.estep import WordSide, esca_estep
+from ..saberlda.costing import WorkloadStats
 from ..saberlda.layout import ChunkLayout, build_layout, gather_layout_tokens
 from ..saberlda.projection import cost_iteration_phases
 from ..saberlda.scheduling import allreduce_overlap_fraction, alltoall_overlap_fraction
 from ..saberlda.trainer import (
-    rebuild_doc_topic,
-    sparse_training_likelihood,
+    SimulatedRun,
+    run_esca,
+    trace_iteration,
+    trace_phases,
     train_saberlda,
 )
 from ..telemetry.metrics import MetricsRegistry, null_metrics
@@ -105,7 +105,7 @@ class DistributedIterationRecord:
 
 
 @dataclass
-class DistributedTrainingResult:
+class DistributedTrainingResult(SimulatedRun):
     """Everything produced by one data-parallel run."""
 
     model: LDAModel
@@ -123,26 +123,6 @@ class DistributedTrainingResult:
     def num_devices(self) -> int:
         """Pool size of the run."""
         return self.pool.num_devices
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated time of the run (barriers + exposed all-reduces)."""
-        if not self.history:
-            return 0.0
-        return self.history[-1].cumulative_simulated_seconds
-
-    def throughput_tokens_per_second(self) -> float:
-        """Aggregate simulated throughput of the pool."""
-        if self.simulated_seconds <= 0:
-            return 0.0
-        return self.num_tokens * len(self.history) / self.simulated_seconds
-
-    def final_log_likelihood(self) -> Optional[float]:
-        """Last recorded per-token training log-likelihood."""
-        for record in reversed(self.history):
-            if record.log_likelihood_per_token is not None:
-                return record.log_likelihood_per_token
-        return None
 
     def allreduce_share(self) -> float:
         """Fraction of the simulated time spent in exposed collectives."""
@@ -194,6 +174,235 @@ class DistributedTrainingResult:
 
 
 @dataclass
+class PoolCoster:
+    """Charges each ESCA iteration to a pool of ``num_devices`` simulated devices.
+
+    Holds the shard plans, counts one partial ``B`` per device and merges
+    the partials through the mode's collective (the ring all-reduce or the
+    all-to-all, both guarding the int32 wire format), then costs every
+    device's share of the iteration.  An iteration costs the slowest
+    device (the BSP barrier) plus whatever of the collective its overlap
+    window cannot hide.
+    """
+
+    config: SaberLDAConfig
+    num_devices: int
+    interconnect: InterconnectSpec
+    parallelism: str
+    tracer: Tracer
+    metrics: MetricsRegistry
+    plan: Optional[ShardPlan] = field(default=None, init=False)
+    topic_plan: Optional[TopicShardPlan] = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        self.pool = DevicePool.homogeneous(self.config.device, self.num_devices, self.interconnect)
+        self._ring = RingAllReduce(link=self.interconnect)
+        self._alltoall = AllToAll(link=self.interconnect)
+        self._num_processors = max(1, self.config.device.num_sms * 2)
+        self._ring_cost = None
+        self._alltoall_cost = None
+        self._ring_overlap: List[float] = []
+
+    def layout(self, tokens: TokenList, num_documents: int) -> List[ChunkLayout]:
+        num_topics = self.config.params.num_topics
+        if self.parallelism == "topic":
+            # Pure model parallelism streams every chunk through every
+            # device, so the chunk count never needs raising for the pool.
+            layouts = build_layout(tokens, num_documents, self.config)
+        else:
+            layouts, self.plan, self.config = build_sharded_layout(
+                tokens, num_documents, self.config, self.num_devices
+            )
+        if self.parallelism == "data":
+            # The ring's overlap window depends only on the word-run
+            # structure of each device's stream (words never move between
+            # chunks), so it is computed once, not per iteration.
+            self._ring_overlap = [
+                allreduce_overlap_fraction(self._device_stream(layouts, device_id),
+                                           self._num_processors)
+                for device_id in range(self.num_devices)
+            ]
+        else:
+            self.topic_plan = plan_topic_shards(num_topics, self.num_devices)
+        return layouts
+
+    def count_word_topic(
+        self, layouts: List[ChunkLayout], tokens: TokenList, vocabulary_size: int
+    ) -> np.ndarray:
+        """Merge the per-device partial ``B`` with the mode's collective.
+
+        Exactly one collective runs per mode; its cost is kept for
+        :meth:`charge`, separately per kind so benchmarks can compare the
+        ring against the all-to-all.
+        """
+        num_topics = self.config.params.num_topics
+        if self.parallelism == "topic":
+            # No data sharding: the merged matrix is one pass over the
+            # stream.  Route it through the collective so the wire-format
+            # overflow guard applies in this mode too, then charge the
+            # exchange at the pool size (the single partial is a
+            # correctness artefact).
+            merged = self._alltoall.exchange(
+                [count_by_word_topic(tokens, vocabulary_size, num_topics)]
+            )
+            self._alltoall_cost = self._alltoall.cost(int(merged.size), self.num_devices)
+            return merged
+        partials = [
+            count_by_word_topic(
+                gather_layout_tokens(self._device_stream(layouts, device_id)),
+                vocabulary_size,
+                num_topics,
+            )
+            for device_id in range(self.num_devices)
+        ]
+        if self.parallelism == "hybrid":
+            merged, self._alltoall_cost = self._alltoall.exchange_with_cost(partials)
+        else:
+            merged, self._ring_cost = self._ring.reduce_with_cost(partials)
+        return merged
+
+    def charge(
+        self,
+        iteration: int,
+        start_seconds: float,
+        layouts: List[ChunkLayout],
+        doc_topic: SparseDocTopicMatrix,
+        vocabulary_size: int,
+        log_likelihood: Optional[float],
+        doc_branch_fraction: float,
+    ) -> DistributedIterationRecord:
+        config = self.config
+        per_device_phases = [
+            self._device_phase_seconds(device_id, layouts, doc_topic, vocabulary_size)
+            for device_id in range(self.num_devices)
+        ]
+        per_device_seconds = [sum(phases.values()) for phases in per_device_phases]
+        barrier = max(per_device_seconds)
+        slowest = int(np.argmax(per_device_seconds))
+        overlappable = config.asynchronous and config.num_workers >= 2 and self.num_devices > 1
+        slowest_sampling = per_device_phases[slowest].get(PHASE_SAMPLING, 0.0)
+        exposed_ring = exposed_a2a = 0.0
+        if self._ring_cost is not None:
+            # Reduce-scatter segments of words that completed early ride
+            # the interconnect while the slowest device still samples its
+            # tail: the word-completion-weighted share of its sampling.
+            window = self._ring_overlap[slowest] * slowest_sampling
+            exposed_ring = exposed_allreduce_seconds(self._ring_cost, window, overlappable)
+        if self._alltoall_cost is not None:
+            # The all-to-all moves *column blocks*, final only once the
+            # stream's last token of each topic has been drawn — a
+            # per-column readiness of this iteration's assignments (topics
+            # move between iterations; word runs do not, which is why the
+            # ring window is precomputed).
+            column_fraction = alltoall_overlap_fraction(
+                self._device_stream(layouts, slowest),
+                self._num_processors,
+                config.params.num_topics,
+            )
+            exposed_a2a = exposed_allreduce_seconds(
+                self._alltoall_cost, column_fraction * slowest_sampling, overlappable
+            )
+        iteration_seconds = barrier + exposed_ring + exposed_a2a
+        if self.tracer.enabled:
+            self._trace(iteration, start_seconds, iteration_seconds, per_device_phases,
+                        barrier, exposed_ring, exposed_a2a)
+        self.metrics.counter("train.iterations").inc()
+        self.metrics.counter("train.simulated_seconds").inc(iteration_seconds)
+        self.metrics.counter("train.exposed_ring_seconds").inc(exposed_ring)
+        self.metrics.counter("train.exposed_alltoall_seconds").inc(exposed_a2a)
+        return DistributedIterationRecord(
+            iteration=iteration,
+            per_device_phase_seconds=per_device_phases,
+            per_device_seconds=per_device_seconds,
+            allreduce_seconds=self._ring_cost.seconds if self._ring_cost is not None else 0.0,
+            exposed_allreduce_seconds=exposed_ring,
+            simulated_seconds=iteration_seconds,
+            cumulative_simulated_seconds=start_seconds + iteration_seconds,
+            log_likelihood_per_token=log_likelihood,
+            alltoall_seconds=(
+                self._alltoall_cost.seconds if self._alltoall_cost is not None else 0.0
+            ),
+            exposed_alltoall_seconds=exposed_a2a,
+        )
+
+    def _device_stream(self, layouts: List[ChunkLayout], device_id: int) -> List[ChunkLayout]:
+        """The chunk layouts the given device streams through per iteration."""
+        if self.plan is None:  # topic parallelism: every device scans everything
+            return list(layouts)
+        return self.plan.layouts_for_device(layouts, device_id)
+
+    def _device_phase_seconds(
+        self,
+        device_id: int,
+        layouts: List[ChunkLayout],
+        doc_topic: SparseDocTopicMatrix,
+        vocabulary_size: int,
+    ) -> Dict[str, float]:
+        """Cost one device's share of one iteration under the selected mode.
+
+        * ``data``: the device's chunk shard at the full ``K`` (``B``
+          replicated, pre-processing included in full);
+        * ``topic``: the whole stream, but every ``K``-dependent phase at
+          the device's column-shard width (draws routed to the owner);
+        * ``hybrid``: the chunk shard at full ``K`` for sampling, with
+          only the pre-processing re-costed at the column-shard width
+          (each device builds ``B̂``/trees for its own slice only).
+        """
+        config = self.config
+        device_layouts = self._device_stream(layouts, device_id)
+
+        def phases(num_topics: int) -> Dict[str, float]:
+            stats = WorkloadStats.measure(
+                device_layouts, doc_topic, num_topics, vocabulary_size, config.device
+            )
+            return dict(cost_iteration_phases(stats, config).phase_seconds)
+
+        if self.topic_plan is None:
+            return phases(config.params.num_topics)
+        shard_topics = max(1, self.topic_plan.shards[device_id].num_topics)
+        if self.parallelism == "topic":
+            return phases(shard_topics)
+        hybrid = phases(config.params.num_topics)
+        hybrid[PHASE_PREPROCESSING] = phases(shard_topics)[PHASE_PREPROCESSING]
+        return hybrid
+
+    def _trace(
+        self,
+        iteration: int,
+        start_seconds: float,
+        total: float,
+        per_device_phases: List[Dict[str, float]],
+        barrier_seconds: float,
+        exposed_ring: float,
+        exposed_a2a: float,
+    ) -> None:
+        """One iteration's multi-track simulated spans.
+
+        Every device's compute rides its own track (``device_id + 1``);
+        the iteration span on track 0 covers barrier + exposed
+        collectives — the same floats the iteration record carries.
+        """
+        tracer = self.tracer
+        trace_iteration(tracer, iteration, start_seconds, total)
+        for device_id, phases in enumerate(per_device_phases):
+            tracer.add_span(
+                "device_compute", start_seconds, sum(phases.values()), category="train",
+                track=device_id + 1, depth=1, args={"device": device_id},
+            )
+            trace_phases(tracer, phases, start_seconds, depth=2, track=device_id + 1)
+        collective_start = start_seconds + barrier_seconds
+        if exposed_ring > 0:
+            tracer.add_span(
+                "allreduce", collective_start, exposed_ring, category="collective", depth=1
+            )
+            collective_start += exposed_ring
+        if exposed_a2a > 0:
+            tracer.add_span(
+                "alltoall", collective_start, exposed_a2a, category="collective", depth=1
+            )
+
+
+@dataclass
 class DistributedTrainer:
     """Runs SaberLDA on ``num_devices`` simulated devices.
 
@@ -212,7 +421,7 @@ class DistributedTrainer:
     #: Disabled by default.  An enabled tracer records, per iteration,
     #: one simulated span per device (track = device id, phases as
     #: children) plus the exposed ring/all-to-all collectives — the
-    #: multi-track view of the BSP barrier.
+    #: multi-track view of the BSP barrier — and one wall-domain ``fit``.
     tracer: Tracer = field(default_factory=null_tracer)
     metrics: MetricsRegistry = field(default_factory=null_metrics)
 
@@ -234,9 +443,6 @@ class DistributedTrainer:
             )
         self._rng = np.random.default_rng(self.config.seed)
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
     def fit(
         self,
         tokens: TokenList,
@@ -245,157 +451,17 @@ class DistributedTrainer:
         vocabulary=None,
     ) -> DistributedTrainingResult:
         """Run the configured number of multi-device iterations."""
-        watch = stopwatch()
-        params = self.config.params
-        pool = DevicePool.homogeneous(
-            self.config.device, self.num_devices, self.interconnect
+        coster = PoolCoster(
+            self.config, self.num_devices, self.interconnect, self.parallelism,
+            self.tracer, self.metrics,
         )
-        ring = RingAllReduce(link=self.interconnect)
-        alltoall = AllToAll(link=self.interconnect)
-
-        # ------------- Layout, shard plans and initialisation ------------- #
-        working_tokens = tokens.copy()
-        if (working_tokens.topics < 0).any():
-            working_tokens.randomize_topics(params.num_topics, self._rng)
-        if self.parallelism == "topic":
-            # Pure model parallelism streams every chunk through every
-            # device, so the chunk count never needs raising for the pool.
-            layouts = build_layout(working_tokens, num_documents, self.config)
-            plan: Optional[ShardPlan] = None
-            config = self.config
-        else:
-            layouts, plan, config = build_sharded_layout(
-                working_tokens, num_documents, self.config, self.num_devices
-            )
-        topic_plan: Optional[TopicShardPlan] = None
-        if self.parallelism in ("topic", "hybrid"):
-            topic_plan = plan_topic_shards(params.num_topics, self.num_devices)
-
-        doc_topic = self._rebuild_doc_topic(layouts, num_documents)
-        word_topic, _ring_cost, _a2a_cost = self._merged_word_topic(
-            layouts, plan, vocabulary_size, ring, alltoall
+        word_topic, doc_topic, history, wall_seconds = run_esca(
+            coster, self._rng, tokens, num_documents, vocabulary_size
         )
-        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
-
-        # The ring's overlap window depends only on the word-run structure of
-        # each device's stream (words never move between chunks), so the
-        # per-device fractions are computed once, not per iteration — and
-        # only for the mode that runs a ring at all (topic/hybrid merge with
-        # the all-to-all, whose per-column window is iteration-dependent).
-        num_processors = max(1, config.device.num_sms * 2)
-        if self.parallelism == "data":
-            overlap_fractions = [
-                allreduce_overlap_fraction(
-                    plan.layouts_for_device(layouts, device_id), num_processors
-                )
-                for device_id in range(self.num_devices)
-            ]
-        else:
-            overlap_fractions = None
-
-        history: List[DistributedIterationRecord] = []
-        cumulative = 0.0
-
-        for iteration in range(1, config.num_iterations + 1):
-            # ------------------------- E-step (global order) ------------------------- #
-            for layout in layouts:
-                result = esca_estep(
-                    layout.tokens,
-                    doc_topic,
-                    word_side,
-                    self._rng,
-                    backend=config.kernel_backend,
-                )
-                layout.tokens.topics = result.new_topics
-
-            # ------------------------------- M-step ---------------------------------- #
-            doc_topic = self._rebuild_doc_topic(layouts, num_documents)
-            word_topic, ring_cost, a2a_cost = self._merged_word_topic(
-                layouts, plan, vocabulary_size, ring, alltoall
-            )
-            word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
-
-            # --------------------------- Simulated timing ---------------------------- #
-            per_device_phases = [
-                self._device_phase_seconds(
-                    device_id, layouts, plan, topic_plan, doc_topic,
-                    vocabulary_size, config,
-                )
-                for device_id in range(self.num_devices)
-            ]
-            per_device_seconds = [sum(phases.values()) for phases in per_device_phases]
-            barrier = max(per_device_seconds)
-            slowest = int(np.argmax(per_device_seconds))
-            overlappable = (
-                config.asynchronous and config.num_workers >= 2 and self.num_devices > 1
-            )
-            # Reduce-scatter segments of words that completed early can ride
-            # the interconnect while the slowest device still samples its
-            # tail: the ring window is the word-completion-weighted share of
-            # its sampling phase.
-            slowest_sampling = per_device_phases[slowest].get(PHASE_SAMPLING, 0.0)
-            ring_seconds = ring_cost.seconds if ring_cost is not None else 0.0
-            a2a_seconds = a2a_cost.seconds if a2a_cost is not None else 0.0
-            if ring_cost is not None:
-                window = overlap_fractions[slowest] * slowest_sampling
-                exposed_ring = exposed_allreduce_seconds(ring_cost, window, overlappable)
-            else:
-                exposed_ring = 0.0
-            if a2a_cost is not None:
-                # The all-to-all moves *column blocks*, which are final only
-                # once the stream's last token of each topic has been drawn —
-                # a per-column readiness derived from this iteration's
-                # assignments (topics move between iterations; word runs do
-                # not, which is why the ring window can be precomputed).
-                column_fraction = alltoall_overlap_fraction(
-                    self._device_stream(layouts, plan, slowest),
-                    num_processors,
-                    params.num_topics,
-                )
-                exposed_a2a = exposed_allreduce_seconds(
-                    a2a_cost, column_fraction * slowest_sampling, overlappable
-                )
-            else:
-                exposed_a2a = 0.0
-            iteration_seconds = barrier + exposed_ring + exposed_a2a
-            if self.tracer.enabled:
-                self._trace_iteration(
-                    iteration, cumulative, per_device_phases, barrier,
-                    exposed_ring, exposed_a2a,
-                )
-            cumulative += iteration_seconds
-            self.metrics.counter("train.iterations").inc()
-            self.metrics.counter("train.simulated_seconds").inc(iteration_seconds)
-            self.metrics.counter("train.exposed_ring_seconds").inc(exposed_ring)
-            self.metrics.counter("train.exposed_alltoall_seconds").inc(exposed_a2a)
-
-            # ----------------------------- Model quality ----------------------------- #
-            log_likelihood: Optional[float] = None
-            if iteration % config.evaluate_every == 0 or iteration == config.num_iterations:
-                all_tokens = gather_layout_tokens(layouts)
-                likelihood = self._training_likelihood(
-                    all_tokens, doc_topic, word_topic, num_documents
-                )
-                log_likelihood = likelihood.per_token
-
-            history.append(
-                DistributedIterationRecord(
-                    iteration=iteration,
-                    per_device_phase_seconds=per_device_phases,
-                    per_device_seconds=per_device_seconds,
-                    allreduce_seconds=ring_seconds,
-                    exposed_allreduce_seconds=exposed_ring,
-                    simulated_seconds=iteration_seconds,
-                    cumulative_simulated_seconds=cumulative,
-                    log_likelihood_per_token=log_likelihood,
-                    alltoall_seconds=a2a_seconds,
-                    exposed_alltoall_seconds=exposed_a2a,
-                )
-            )
-
+        config = coster.config
         model = LDAModel(
             word_topic_counts=word_topic,
-            params=params,
+            params=config.params,
             vocabulary=vocabulary,
             metadata={
                 "system": "SaberLDA-distributed",
@@ -413,235 +479,14 @@ class DistributedTrainer:
             model=model,
             doc_topic=doc_topic,
             history=history,
-            plan=plan,
-            pool=pool,
+            plan=coster.plan,
+            pool=coster.pool,
             config=config,
             num_tokens=tokens.num_tokens,
-            wall_seconds=watch.elapsed(),
-            topic_plan=topic_plan,
+            wall_seconds=wall_seconds,
+            topic_plan=coster.topic_plan,
             parallelism=self.parallelism,
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _trace_iteration(
-        self,
-        iteration: int,
-        start_seconds: float,
-        per_device_phases: List[Dict[str, float]],
-        barrier_seconds: float,
-        exposed_ring: float,
-        exposed_a2a: float,
-    ) -> None:
-        """One iteration's multi-track simulated spans.
-
-        Every device's compute rides its own track (``device_id + 1``);
-        the iteration span on track 0 covers barrier + exposed
-        collectives — the same floats the iteration record carries.
-        """
-        tracer = self.tracer
-        total = barrier_seconds + exposed_ring + exposed_a2a
-        clock = tracer.clock
-        if hasattr(clock, "advance_to"):
-            clock.advance_to(max(clock.now(), start_seconds + total))
-        tracer.add_span(
-            "iteration",
-            start_seconds,
-            total,
-            category="train",
-            depth=0,
-            args={"iteration": iteration},
-        )
-        for device_id, phases in enumerate(per_device_phases):
-            tracer.add_span(
-                "device_compute",
-                start_seconds,
-                sum(phases.values()),
-                category="train",
-                track=device_id + 1,
-                depth=1,
-                args={"device": device_id},
-            )
-            cursor = start_seconds
-            for phase, seconds in phases.items():
-                tracer.add_span(
-                    phase, cursor, seconds, category="phase",
-                    track=device_id + 1, depth=2,
-                )
-                cursor += seconds
-        collective_start = start_seconds + barrier_seconds
-        if exposed_ring > 0:
-            tracer.add_span(
-                "allreduce", collective_start, exposed_ring,
-                category="collective", depth=1,
-            )
-            collective_start += exposed_ring
-        if exposed_a2a > 0:
-            tracer.add_span(
-                "alltoall", collective_start, exposed_a2a,
-                category="collective", depth=1,
-            )
-
-    def _rebuild_doc_topic(
-        self, layouts: List[ChunkLayout], num_documents: int
-    ) -> SparseDocTopicMatrix:
-        return rebuild_doc_topic(layouts, num_documents, self.config.params.num_topics)
-
-    def _device_stream(
-        self,
-        layouts: List[ChunkLayout],
-        plan: Optional[ShardPlan],
-        device_id: int,
-    ) -> List[ChunkLayout]:
-        """The chunk layouts the given device streams through per iteration."""
-        if plan is None:  # topic parallelism: every device scans everything
-            return list(layouts)
-        return plan.layouts_for_device(layouts, device_id)
-
-    def _merged_word_topic(
-        self,
-        layouts: List[ChunkLayout],
-        plan: Optional[ShardPlan],
-        vocabulary_size: int,
-        ring: RingAllReduce,
-        alltoall: AllToAll,
-    ) -> tuple:
-        """Count the per-device partial ``B`` and merge with the mode's collective.
-
-        Returns ``(word_topic, ring_cost | None, alltoall_cost | None)`` —
-        exactly one collective runs per mode, and its cost is reported
-        separately so benchmarks can compare the ring against the
-        all-to-all.
-        """
-        num_topics = self.config.params.num_topics
-        if self.parallelism == "topic":
-            # No data sharding: the merged matrix is one pass over the
-            # stream, and the all-to-all routes each owner its columns.
-            merged = np.zeros((vocabulary_size, num_topics), dtype=np.int64)
-            for layout in layouts:
-                merged += count_by_word_topic(
-                    layout.tokens, vocabulary_size, num_topics
-                )
-            # Route through the collective so the wire-format overflow
-            # guard applies in this mode too, then charge the exchange at
-            # the pool size (the single partial is a correctness artefact).
-            merged = alltoall.exchange([merged])
-            return merged, None, alltoall.cost(int(merged.size), self.num_devices)
-
-        locals_: List[np.ndarray] = []
-        for device_id in range(plan.num_devices):
-            device_counts = np.zeros((vocabulary_size, num_topics), dtype=np.int64)
-            for layout in plan.layouts_for_device(layouts, device_id):
-                device_counts += count_by_word_topic(
-                    layout.tokens, vocabulary_size, num_topics
-                )
-            locals_.append(device_counts)
-        if self.parallelism == "hybrid":
-            merged, cost = alltoall.exchange_with_cost(locals_)
-            return merged, None, cost
-        merged, cost = ring.reduce_with_cost(locals_)
-        return merged, cost, None
-
-    def _device_phase_seconds(
-        self,
-        device_id: int,
-        layouts: List[ChunkLayout],
-        plan: Optional[ShardPlan],
-        topic_plan: Optional[TopicShardPlan],
-        doc_topic: SparseDocTopicMatrix,
-        vocabulary_size: int,
-        config: SaberLDAConfig,
-    ) -> Dict[str, float]:
-        """Cost one device's share of one iteration under the selected mode.
-
-        * ``data``: the device's chunk shard at the full ``K`` (``B``
-          replicated, pre-processing included in full);
-        * ``topic``: the whole stream, but every ``K``-dependent phase at
-          the device's column-shard width (draws routed to the owner);
-        * ``hybrid``: the chunk shard at full ``K`` for sampling, with
-          only the pre-processing re-costed at the column-shard width
-          (each device builds ``B̂``/trees for its own slice only).
-        """
-        num_topics = config.params.num_topics
-        device_layouts = self._device_stream(layouts, plan, device_id)
-        if self.parallelism == "topic":
-            shard_topics = max(1, topic_plan.shards[device_id].num_topics)
-            stats = _device_workload_stats(
-                device_layouts, doc_topic, shard_topics, vocabulary_size, config
-            )
-            return dict(cost_iteration_phases(stats, config).phase_seconds)
-
-        stats = _device_workload_stats(
-            device_layouts, doc_topic, num_topics, vocabulary_size, config
-        )
-        phases = dict(cost_iteration_phases(stats, config).phase_seconds)
-        if self.parallelism == "hybrid":
-            shard_topics = max(1, topic_plan.shards[device_id].num_topics)
-            shard_stats = _device_workload_stats(
-                device_layouts, doc_topic, shard_topics, vocabulary_size, config
-            )
-            shard_phases = cost_iteration_phases(shard_stats, config).phase_seconds
-            phases[PHASE_PREPROCESSING] = shard_phases[PHASE_PREPROCESSING]
-        return phases
-
-    def _training_likelihood(
-        self,
-        tokens: TokenList,
-        doc_topic: SparseDocTopicMatrix,
-        word_topic: np.ndarray,
-        num_documents: int,
-    ):
-        return sparse_training_likelihood(
-            tokens, doc_topic, word_topic, num_documents, self.config.params
-        )
-
-
-def _device_workload_stats(
-    device_layouts: List[ChunkLayout],
-    doc_topic: SparseDocTopicMatrix,
-    num_topics: int,
-    vocabulary_size: int,
-    config: SaberLDAConfig,
-) -> WorkloadStats:
-    """Exact per-shard workload statistics (the device's share of A included).
-
-    A device streams only its own chunks' tokens and ``A`` rows, so the
-    transfer and rebuild traffic must be charged on the shard's document
-    ranges, not the global matrix — otherwise every device would pay the
-    full corpus and nothing would scale.  Pre-processing statistics
-    (``V``, ``K``) stay global because ``B̂`` is replicated.
-    """
-    num_tokens = int(sum(layout.num_tokens for layout in device_layouts))
-    distinct_chunk_words = float(
-        sum(layout.distinct_words() for layout in device_layouts)
-    )
-    chunk_token_counts = [layout.num_tokens for layout in device_layouts]
-
-    shard_documents = 0
-    shard_nnz = 0
-    for layout in device_layouts:
-        chunk = layout.chunk
-        shard_documents += chunk.num_documents
-        shard_nnz += doc_topic.slice_documents(chunk.doc_start, chunk.doc_stop).num_nonzeros
-
-    term_frequencies = np.zeros(vocabulary_size, dtype=np.int64)
-    for layout in device_layouts:
-        term_frequencies += layout.tokens.tokens_per_word(vocabulary_size)
-    hot_fraction = _hot_token_fraction(term_frequencies, num_topics, config.device)
-
-    mean_doc_nnz = shard_nnz / shard_documents if shard_documents else 0.0
-    return WorkloadStats(
-        num_tokens=num_tokens,
-        num_documents=shard_documents,
-        vocabulary_size=vocabulary_size,
-        num_topics=num_topics,
-        mean_doc_nnz=mean_doc_nnz,
-        total_doc_nnz=float(shard_nnz),
-        distinct_chunk_words=distinct_chunk_words,
-        hot_token_fraction=hot_fraction,
-        chunk_token_counts=chunk_token_counts,
-    )
 
 
 def train_distributed(

@@ -89,10 +89,22 @@ class WorkloadStats:
         vocabulary_size: int,
         device: DeviceSpec,
     ) -> "WorkloadStats":
-        """Measure the statistics from actual chunk layouts and the current ``A``."""
+        """Measure the statistics from actual chunk layouts and the current ``A``.
+
+        Documents and the non-zeros of ``A`` are counted over the layouts'
+        document ranges: a device that streams only some chunks moves only
+        their rows of ``A``, so its transfer and rebuild traffic must not
+        be charged on the whole matrix.  ``V`` and ``K`` stay global.
+        """
         num_tokens = int(sum(layout.num_tokens for layout in layouts))
         distinct_chunk_words = float(sum(layout.distinct_words() for layout in layouts))
         chunk_token_counts = [layout.num_tokens for layout in layouts]
+        chunks = [layout.chunk for layout in layouts]
+        num_documents = sum(chunk.num_documents for chunk in chunks)
+        total_doc_nnz = sum(
+            int(doc_topic.indptr[chunk.doc_stop] - doc_topic.indptr[chunk.doc_start])
+            for chunk in chunks
+        )
 
         term_frequencies = np.zeros(vocabulary_size, dtype=np.int64)
         for layout in layouts:
@@ -101,11 +113,11 @@ class WorkloadStats:
 
         return cls(
             num_tokens=num_tokens,
-            num_documents=doc_topic.num_documents,
+            num_documents=num_documents,
             vocabulary_size=vocabulary_size,
             num_topics=num_topics,
-            mean_doc_nnz=doc_topic.mean_row_nnz(),
-            total_doc_nnz=float(doc_topic.num_nonzeros),
+            mean_doc_nnz=total_doc_nnz / num_documents if num_documents else 0.0,
+            total_doc_nnz=float(total_doc_nnz),
             distinct_chunk_words=distinct_chunk_words,
             hot_token_fraction=hot_fraction,
             chunk_token_counts=chunk_token_counts,

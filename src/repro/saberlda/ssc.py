@@ -12,9 +12,12 @@ in global memory; SSC avoids the global sort:
    prefix-sum them to obtain each distinct topic's output slot, and
    scatter (topic, count) pairs.
 
-The functions here are the lane-faithful reference used by the trainer
-and the tests; the cost of each variant is charged by
-``repro.saberlda.costing``.
+The trainer rebuilds ``A`` with :func:`rebuild_doc_topic_sort`: SSC and
+the global sort produce the same matrix, and the configuration switch
+changes only the cost, which ``repro.saberlda.costing`` charges.  The
+lane-faithful SSC functions (radix sort, segmented count,
+:func:`rebuild_doc_topic_ssc`) are run by the tests only, which check
+them against the sort-based rebuild.
 """
 
 from __future__ import annotations

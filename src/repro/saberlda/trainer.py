@@ -9,18 +9,22 @@ Each iteration follows Alg. 1 exactly:
    recounted, ``B̂``/``Q`` and the per-word sampling structures are
    re-prepared.
 
-Alongside the real computation, the trainer *costs* every phase on the
-configured device with the workload analyser + roofline model, and
-records the per-phase simulated seconds, the streaming schedule (which
-hides transfers when the run is asynchronous) and the training
-log-likelihood.  The result carries everything the benchmarks need to
-reproduce Figs. 9-12 and Tables 2 and 4.
+ESCA is bulk synchronous, so how many devices share the work changes
+only what an iteration *costs*, never what it computes.  That is why
+there is one loop, :func:`run_esca`, and the trainers differ only in the
+:class:`IterationCoster` they hand it: :class:`SingleDeviceCoster` here,
+and the device-pool coster of :mod:`repro.distributed.trainer`.  The
+single device charges every phase with the workload analyser + roofline
+model (the streaming schedule hides transfers when the run is
+asynchronous) and records the per-phase simulated seconds and the
+training log-likelihood — everything the benchmarks need to reproduce
+Figs. 9-12 and Tables 2 and 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -45,12 +49,7 @@ from .ssc import merge_chunk_rows, rebuild_doc_topic_sort
 def rebuild_doc_topic(
     layouts: List[ChunkLayout], num_documents: int, num_topics: int
 ) -> SparseDocTopicMatrix:
-    """Rebuild A chunk by chunk and merge the rows (vectorised functional path).
-
-    Shared by the single-device and the distributed trainer — the
-    bit-identical equivalence between the two depends on both using this
-    exact rebuild.
-    """
+    """Rebuild A chunk by chunk and merge the rows (vectorised functional path)."""
     chunk_rows = [rebuild_doc_topic_sort(layout, num_topics) for layout in layouts]
     return merge_chunk_rows(chunk_rows, num_documents, num_topics)
 
@@ -62,10 +61,7 @@ def sparse_training_likelihood(
     num_documents: int,
     params,
 ) -> LikelihoodResult:
-    """Training log-likelihood from the sparse ``A`` (densified row by row).
-
-    Shared by both trainers for the same reason as :func:`rebuild_doc_topic`.
-    """
+    """Training log-likelihood from the sparse ``A`` (densified row by row)."""
     dense_doc_topic = np.zeros((num_documents, params.num_topics), dtype=np.int64)
     for doc_id in range(num_documents):
         cols, vals = doc_topic.row(doc_id)
@@ -85,27 +81,13 @@ class IterationRecord:
     mean_doc_nnz: float
     doc_branch_fraction: float
 
-    @property
-    def throughput_tokens_per_second(self) -> float:
-        """Filled in by the trainer via :meth:`TrainingResult.throughput`."""
-        return 0.0  # pragma: no cover - superseded by TrainingResult.throughput
 
-
-@dataclass
-class TrainingResult:
-    """Everything produced by one SaberLDA run."""
-
-    model: LDAModel
-    doc_topic: SparseDocTopicMatrix
-    history: List[IterationRecord]
-    profiler: Profiler
-    config: SaberLDAConfig
-    num_tokens: int
-    wall_seconds: float
+class SimulatedRun:
+    """Run totals shared by both result types (needs ``history`` and ``num_tokens``)."""
 
     @property
     def simulated_seconds(self) -> float:
-        """Total simulated (device) time of the run."""
+        """Total simulated time of the run (on a pool: barriers + exposed collectives)."""
         if not self.history:
             return 0.0
         return self.history[-1].cumulative_simulated_seconds
@@ -123,6 +105,19 @@ class TrainingResult:
                 return record.log_likelihood_per_token
         return None
 
+
+@dataclass
+class TrainingResult(SimulatedRun):
+    """Everything produced by one SaberLDA run."""
+
+    model: LDAModel
+    doc_topic: SparseDocTopicMatrix
+    history: List[IterationRecord]
+    profiler: Profiler
+    config: SaberLDAConfig
+    num_tokens: int
+    wall_seconds: float
+
     def convergence_curve(self) -> List[tuple]:
         """``(cumulative simulated seconds, log-likelihood per token)`` pairs."""
         return [
@@ -138,6 +133,190 @@ class TrainingResult:
             for phase, seconds in record.phase_seconds.items():
                 totals[phase] = totals.get(phase, 0.0) + seconds
         return totals
+
+
+class IterationCoster(Protocol):
+    """What :func:`run_esca` asks of a cost attribution.
+
+    ``config`` is the *effective* configuration once :meth:`layout` has
+    run (a device pool may raise the chunk count).
+    """
+
+    config: SaberLDAConfig
+    tracer: Tracer
+
+    def layout(self, tokens: TokenList, num_documents: int) -> List[ChunkLayout]:
+        """Partition and lay out the stream."""
+
+    def count_word_topic(
+        self, layouts: List[ChunkLayout], tokens: TokenList, vocabulary_size: int
+    ) -> np.ndarray:
+        """``B`` of the laid-out stream (``tokens`` is the whole stream, gathered)."""
+
+    def charge(
+        self,
+        iteration: int,
+        start_seconds: float,
+        layouts: List[ChunkLayout],
+        doc_topic: SparseDocTopicMatrix,
+        vocabulary_size: int,
+        log_likelihood: Optional[float],
+        doc_branch_fraction: float,
+    ):
+        """Cost, trace and count one iteration; return its record."""
+
+
+def trace_iteration(tracer: Tracer, iteration: int, start_seconds: float, total: float) -> None:
+    """One simulated iteration span on track 0, advancing a simulated clock past it.
+
+    ``start_seconds`` is the cumulative simulated time *before* this
+    iteration — the same floats the iteration records carry, so the
+    trace and the history agree exactly.
+    """
+    clock = tracer.clock
+    if hasattr(clock, "advance_to"):
+        clock.advance_to(max(clock.now(), start_seconds + total))
+    tracer.add_span(
+        "iteration", start_seconds, total, category="train", depth=0,
+        args={"iteration": iteration},
+    )
+
+
+def trace_phases(
+    tracer: Tracer, phase_seconds: Dict[str, float], start_seconds: float,
+    depth: int, track: int = 0,
+) -> None:
+    """Back-to-back phase spans starting at ``start_seconds``."""
+    cursor = start_seconds
+    for phase, seconds in phase_seconds.items():
+        tracer.add_span(phase, cursor, seconds, category="phase", track=track, depth=depth)
+        cursor += seconds
+
+
+def run_esca(
+    coster: IterationCoster,
+    rng: np.random.Generator,
+    tokens: TokenList,
+    num_documents: int,
+    vocabulary_size: int,
+) -> Tuple[np.ndarray, SparseDocTopicMatrix, list, float]:
+    """The ESCA training loop: ``(B, A, iteration records, wall seconds)``.
+
+    The chunk layouts are resampled in global stream order with one RNG
+    stream, so every cost attribution trains the bit-identical model.
+    """
+    watch = stopwatch()
+    params = coster.config.params
+    working_tokens = tokens.copy()
+    if (working_tokens.topics < 0).any():
+        working_tokens.randomize_topics(params.num_topics, rng)
+    layouts = coster.layout(working_tokens, num_documents)
+    config = coster.config
+
+    doc_topic = rebuild_doc_topic(layouts, num_documents, params.num_topics)
+    all_tokens = gather_layout_tokens(layouts)
+    word_topic = coster.count_word_topic(layouts, all_tokens, vocabulary_size)
+    word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+
+    history: list = []
+    cumulative = 0.0
+    for iteration in range(1, config.num_iterations + 1):
+        # ------------------------------ E-step ------------------------------ #
+        doc_branch_tokens = 0
+        for layout in layouts:
+            result = esca_estep(
+                layout.tokens, doc_topic, word_side, rng, backend=config.kernel_backend
+            )
+            layout.tokens.topics = result.new_topics
+            doc_branch_tokens += result.doc_branch_tokens
+
+        # ------------------------------ M-step ------------------------------ #
+        doc_topic = rebuild_doc_topic(layouts, num_documents, params.num_topics)
+        all_tokens = gather_layout_tokens(layouts)
+        word_topic = coster.count_word_topic(layouts, all_tokens, vocabulary_size)
+        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+
+        # --------------------------- Model quality -------------------------- #
+        log_likelihood: Optional[float] = None
+        if iteration % config.evaluate_every == 0 or iteration == config.num_iterations:
+            log_likelihood = sparse_training_likelihood(
+                all_tokens, doc_topic, word_topic, num_documents, params
+            ).per_token
+
+        # ------------------------- Simulated timing ------------------------- #
+        record = coster.charge(
+            iteration, cumulative, layouts, doc_topic, vocabulary_size, log_likelihood,
+            doc_branch_tokens / max(all_tokens.num_tokens, 1),
+        )
+        cumulative = record.cumulative_simulated_seconds
+        history.append(record)
+
+    wall_seconds = watch.elapsed()
+    if coster.tracer.enabled:
+        # One wall-domain span alongside the simulated ones: the
+        # measured cost of producing this simulated run.
+        coster.tracer.add_span(
+            "fit", 0.0, wall_seconds, category="train", domain=DOMAIN_WALL, depth=0,
+            args={"iterations": config.num_iterations},
+        )
+    return word_topic, doc_topic, history, wall_seconds
+
+
+@dataclass
+class SingleDeviceCoster:
+    """One device: ``B`` counted once over the gathered stream, every phase charged to it."""
+
+    config: SaberLDAConfig
+    tracer: Tracer
+    metrics: MetricsRegistry
+    profiler: Profiler = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.profiler = Profiler(CostModel(self.config.device))
+
+    def layout(self, tokens: TokenList, num_documents: int) -> List[ChunkLayout]:
+        return build_layout(tokens, num_documents, self.config)
+
+    def count_word_topic(
+        self, layouts: List[ChunkLayout], tokens: TokenList, vocabulary_size: int
+    ) -> np.ndarray:
+        return count_by_word_topic(tokens, vocabulary_size, self.config.params.num_topics)
+
+    def charge(
+        self,
+        iteration: int,
+        start_seconds: float,
+        layouts: List[ChunkLayout],
+        doc_topic: SparseDocTopicMatrix,
+        vocabulary_size: int,
+        log_likelihood: Optional[float],
+        doc_branch_fraction: float,
+    ) -> IterationRecord:
+        config = self.config
+        stats = WorkloadStats.measure(
+            layouts, doc_topic, config.params.num_topics, vocabulary_size, config.device
+        )
+        cost = cost_iteration_phases(stats, config)
+        for phase, seconds in cost.phase_seconds.items():
+            self.profiler.record(phase, cost.phase_traffic[phase], seconds)
+        iteration_seconds = sum(cost.phase_seconds.values())
+        if self.tracer.enabled:
+            trace_iteration(self.tracer, iteration, start_seconds, iteration_seconds)
+            trace_phases(self.tracer, cost.phase_seconds, start_seconds, depth=1)
+        self.profiler.record_iteration(iteration_seconds)
+        self.metrics.counter("train.iterations").inc()
+        self.metrics.counter("train.simulated_seconds").inc(iteration_seconds)
+        for phase, seconds in cost.phase_seconds.items():
+            self.metrics.counter(f"train.phase.{phase}_seconds").inc(seconds)
+        return IterationRecord(
+            iteration=iteration,
+            phase_seconds=cost.phase_seconds,
+            simulated_seconds=iteration_seconds,
+            cumulative_simulated_seconds=start_seconds + iteration_seconds,
+            log_likelihood_per_token=log_likelihood,
+            mean_doc_nnz=doc_topic.mean_row_nnz(),
+            doc_branch_fraction=doc_branch_fraction,
+        )
 
 
 @dataclass
@@ -166,9 +345,6 @@ class SaberLDATrainer:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.config.seed)
 
-    # ------------------------------------------------------------------ #
-    # Public API
-    # ------------------------------------------------------------------ #
     def fit(
         self,
         tokens: TokenList,
@@ -177,176 +353,33 @@ class SaberLDATrainer:
         vocabulary=None,
     ) -> TrainingResult:
         """Run the configured number of iterations and return the trained model."""
-        watch = stopwatch()
         config = self.config
-        params = config.params
-        device = config.device
-        cost_model = CostModel(device)
-        profiler = Profiler(cost_model)
-
-        # ---------------- Layout (PDOW) and initialisation ---------------- #
-        working_tokens = tokens.copy()
-        if (working_tokens.topics < 0).any():
-            working_tokens.randomize_topics(params.num_topics, self._rng)
-        layouts = build_layout(working_tokens, num_documents, config)
-
-        doc_topic = self._rebuild_doc_topic(layouts, num_documents)
-        all_tokens = gather_layout_tokens(layouts)
-        word_topic = count_by_word_topic(all_tokens, vocabulary_size, params.num_topics)
-        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
-
-        history: List[IterationRecord] = []
-        cumulative = 0.0
-
-        for iteration in range(1, config.num_iterations + 1):
-            doc_branch_tokens = 0
-            total_tokens = 0
-
-            # ------------------------------ E-step ------------------------------ #
-            for layout in layouts:
-                result = esca_estep(
-                    layout.tokens,
-                    doc_topic,
-                    word_side,
-                    self._rng,
-                    backend=config.kernel_backend,
-                )
-                layout.tokens.topics = result.new_topics
-                doc_branch_tokens += result.doc_branch_tokens
-                total_tokens += layout.num_tokens
-
-            # ------------------------------ M-step ------------------------------ #
-            doc_topic = self._rebuild_doc_topic(layouts, num_documents)
-            all_tokens = gather_layout_tokens(layouts)
-            word_topic = count_by_word_topic(all_tokens, vocabulary_size, params.num_topics)
-            word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
-
-            # ------------------------- Simulated timing ------------------------- #
-            stats = WorkloadStats.measure(
-                layouts, doc_topic, params.num_topics, vocabulary_size, device
-            )
-            phase_seconds = self._cost_iteration(stats, cost_model, profiler)
-            iteration_seconds = sum(phase_seconds.values())
-            if self.tracer.enabled:
-                self._trace_iteration(iteration, cumulative, phase_seconds)
-            cumulative += iteration_seconds
-            profiler.record_iteration(iteration_seconds)
-            self.metrics.counter("train.iterations").inc()
-            self.metrics.counter("train.simulated_seconds").inc(iteration_seconds)
-            for phase, seconds in phase_seconds.items():
-                self.metrics.counter(f"train.phase.{phase}_seconds").inc(seconds)
-
-            # --------------------------- Model quality -------------------------- #
-            log_likelihood: Optional[float] = None
-            if iteration % config.evaluate_every == 0 or iteration == config.num_iterations:
-                likelihood = self._training_likelihood(
-                    all_tokens, doc_topic, word_topic, num_documents
-                )
-                log_likelihood = likelihood.per_token
-
-            history.append(
-                IterationRecord(
-                    iteration=iteration,
-                    phase_seconds=phase_seconds,
-                    simulated_seconds=iteration_seconds,
-                    cumulative_simulated_seconds=cumulative,
-                    log_likelihood_per_token=log_likelihood,
-                    mean_doc_nnz=doc_topic.mean_row_nnz(),
-                    doc_branch_fraction=doc_branch_tokens / max(total_tokens, 1),
-                )
-            )
-
+        coster = SingleDeviceCoster(config, self.tracer, self.metrics)
+        word_topic, doc_topic, history, wall_seconds = run_esca(
+            coster, self._rng, tokens, num_documents, vocabulary_size
+        )
         model = LDAModel(
             word_topic_counts=word_topic,
-            params=params,
+            params=config.params,
             vocabulary=vocabulary,
             metadata={
                 "system": "SaberLDA",
-                "device": device.name,
+                "device": config.device.name,
                 "num_iterations": config.num_iterations,
                 "num_chunks": config.num_chunks,
                 "num_workers": config.num_workers,
                 "seed": config.seed,
             },
         )
-        wall_seconds = watch.elapsed()
-        if self.tracer.enabled:
-            # One wall-domain span alongside the simulated ones: the
-            # measured cost of producing this simulated run.
-            self.tracer.add_span(
-                "fit",
-                0.0,
-                wall_seconds,
-                category="train",
-                domain=DOMAIN_WALL,
-                depth=0,
-                args={"iterations": config.num_iterations},
-            )
         return TrainingResult(
             model=model,
             doc_topic=doc_topic,
             history=history,
-            profiler=profiler,
+            profiler=coster.profiler,
             config=config,
             num_tokens=tokens.num_tokens,
             wall_seconds=wall_seconds,
         )
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _rebuild_doc_topic(
-        self, layouts: List[ChunkLayout], num_documents: int
-    ) -> SparseDocTopicMatrix:
-        return rebuild_doc_topic(layouts, num_documents, self.config.params.num_topics)
-
-    def _training_likelihood(
-        self,
-        tokens: TokenList,
-        doc_topic: SparseDocTopicMatrix,
-        word_topic: np.ndarray,
-        num_documents: int,
-    ) -> LikelihoodResult:
-        return sparse_training_likelihood(
-            tokens, doc_topic, word_topic, num_documents, self.config.params
-        )
-
-    def _trace_iteration(
-        self, iteration: int, start_seconds: float, phase_seconds: Dict[str, float]
-    ) -> None:
-        """One simulated iteration span with its phases as children.
-
-        ``start_seconds`` is the cumulative simulated time *before* this
-        iteration — the same floats the iteration records carry, so the
-        trace and the history agree exactly.
-        """
-        tracer = self.tracer
-        total = sum(phase_seconds.values())
-        clock = tracer.clock
-        if hasattr(clock, "advance_to"):
-            clock.advance_to(max(clock.now(), start_seconds + total))
-        tracer.add_span(
-            "iteration",
-            start_seconds,
-            total,
-            category="train",
-            depth=0,
-            args={"iteration": iteration},
-        )
-        cursor = start_seconds
-        for phase, seconds in phase_seconds.items():
-            tracer.add_span(phase, cursor, seconds, category="phase", depth=1)
-            cursor += seconds
-
-    def _cost_iteration(
-        self, stats: WorkloadStats, cost_model: CostModel, profiler: Profiler
-    ) -> Dict[str, float]:
-        """Charge one iteration's phases on the simulated device."""
-        del cost_model  # the shared projection constructs its own
-        cost = cost_iteration_phases(stats, self.config)
-        for phase, seconds in cost.phase_seconds.items():
-            profiler.record(phase, cost.phase_traffic[phase], seconds)
-        return cost.phase_seconds
 
 
 def train_saberlda(

@@ -49,6 +49,21 @@ class TestWorkloadStats:
         stats, _config, corpus = measured_stats
         assert stats.distinct_chunk_words >= len(set(corpus.tokens.word_ids.tolist()))
 
+    def test_chunk_subset_counts_only_its_document_ranges(self, measured_stats):
+        """A device streaming some chunks is charged only their rows of A."""
+        _stats, config, corpus = measured_stats
+        layouts = build_layout(corpus.tokens, corpus.num_documents, config)
+        doc_topic = SparseDocTopicMatrix.from_tokens(corpus.tokens, corpus.num_documents, 50)
+        chunk = layouts[1].chunk
+        stats = WorkloadStats.measure(
+            layouts[1:2], doc_topic, 50, corpus.vocabulary_size, GTX_1080
+        )
+        shard_nnz = doc_topic.slice_documents(chunk.doc_start, chunk.doc_stop).num_nonzeros
+        assert stats.num_documents == chunk.num_documents
+        assert stats.total_doc_nnz == float(shard_nnz)
+        assert stats.mean_doc_nnz == shard_nnz / chunk.num_documents
+        assert stats.num_tokens == layouts[1].num_tokens
+
     def test_from_descriptor_full_scale(self):
         stats = WorkloadStats.from_descriptor(NYTIMES, 1000, GTX_1080, num_chunks=3)
         assert stats.num_tokens == NYTIMES.num_tokens

@@ -99,6 +99,12 @@ def _pool(checkpoint, **overrides):
     return WorkerPool(**options)
 
 
+#: Worker 0 dies (``os._exit``) on receiving its first batch.
+_CRASH_WORKER_0 = FaultPlan(
+    seed=SEED, events=(FaultEvent(kind="crash", worker_id=0, at_batch=0),)
+)
+
+
 def _assert_conserved(pool):
     stats = pool.stats()
     assert (
@@ -165,13 +171,14 @@ class TestFaultPaths:
     def test_worker_killed_mid_batch_retries_on_survivor(
         self, checkpoint, requests, reference_digest
     ):
-        with _pool(checkpoint, batch_timeout_seconds=20.0) as pool:
-            # Pin a stalled batch to worker 0, kill it mid-flight.
+        with _pool(
+            checkpoint, fault_plan=_CRASH_WORKER_0, batch_timeout_seconds=20.0
+        ) as pool:
+            # Pin a batch to worker 0, which the plan crashes once the
+            # batch is in flight: no sleep races the kill.
             first = requests[: len(requests) // 2]
             second = requests[len(requests) // 2 :]
-            pool.submit(first, stall_seconds=8.0, worker_id=0)
-            time.sleep(0.3)
-            pool._processes[0].kill()
+            pool.submit(first, worker_id=0)
             pool.submit(second, worker_id=1)
             outcomes = [pool.collect(), pool.collect()]
             _assert_conserved(pool)
@@ -354,13 +361,13 @@ class TestDispatchCounting:
         assert dispatch_tally_increment(1, hedge=True) == 0
 
     def test_retried_batch_counts_once(self, checkpoint, requests):
-        # Kill worker 0 mid-batch: the batch re-sends to worker 1, but
+        # Worker 0 crashes mid-batch: the batch re-sends to worker 1, but
         # ``dispatched`` and the lane tallies still see exactly one
         # dispatch per admitted batch (IPC sends = dispatched + retries).
-        with _pool(checkpoint, batch_timeout_seconds=20.0) as pool:
-            pool.submit(requests[:6], stall_seconds=8.0, worker_id=0)
-            time.sleep(0.3)
-            pool._processes[0].kill()
+        with _pool(
+            checkpoint, fault_plan=_CRASH_WORKER_0, batch_timeout_seconds=20.0
+        ) as pool:
+            pool.submit(requests[:6], worker_id=0)
             pool.submit(requests[6:], worker_id=1)
             pool.collect()
             pool.collect()
