@@ -17,10 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.count_matrices import (
-    count_by_doc_topic_dense,
-    count_by_word_topic,
-)
+from ..core.count_matrices import SparseDocTopicMatrix, count_by_word_topic
 from ..core.hyperparams import LDAHyperParams
 from ..core.likelihood import training_log_likelihood
 from ..core.model import LDAModel
@@ -114,7 +111,9 @@ class BaselineTrainer(abc.ABC):
         vocabulary_size: int,
     ) -> float:
         """Training log-likelihood per token under the current assignments."""
-        doc_topic = count_by_doc_topic_dense(tokens, num_documents, self.params.num_topics)
+        doc_topic = SparseDocTopicMatrix.from_tokens(
+            tokens, num_documents, self.params.num_topics
+        )
         word_topic = count_by_word_topic(tokens, vocabulary_size, self.params.num_topics)
         return training_log_likelihood(tokens, doc_topic, word_topic, self.params).per_token
 

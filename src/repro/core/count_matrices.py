@@ -35,7 +35,7 @@ def count_by_word_topic(tokens: TokenList, vocabulary_size: int, num_topics: int
         raise ValueError("all tokens must have a topic assignment before counting")
     flat = tokens.word_ids.astype(np.int64) * num_topics + tokens.topics.astype(np.int64)
     counts = np.bincount(flat, minlength=vocabulary_size * num_topics)
-    return counts.reshape(vocabulary_size, num_topics).astype(np.int64)
+    return counts.reshape(vocabulary_size, num_topics).astype(np.int64, copy=False)
 
 
 def count_by_doc_topic_dense(tokens: TokenList, num_documents: int, num_topics: int) -> np.ndarray:
@@ -46,7 +46,7 @@ def count_by_doc_topic_dense(tokens: TokenList, num_documents: int, num_topics: 
         raise ValueError("all tokens must have a topic assignment before counting")
     flat = tokens.doc_ids.astype(np.int64) * num_topics + tokens.topics.astype(np.int64)
     counts = np.bincount(flat, minlength=num_documents * num_topics)
-    return counts.reshape(num_documents, num_topics).astype(np.int64)
+    return counts.reshape(num_documents, num_topics).astype(np.int64, copy=False)
 
 
 def normalize_word_topic(word_topic: np.ndarray, beta: float) -> np.ndarray:
@@ -54,12 +54,14 @@ def normalize_word_topic(word_topic: np.ndarray, beta: float) -> np.ndarray:
 
     ``B_hat[v, k] = (B[v, k] + beta) / (sum_v B[v, k] + V * beta)`` — each
     *column* of the result sums to one, i.e. each topic is a proper
-    distribution over the vocabulary.
+    distribution over the vocabulary.  The result is the only ``V x K``
+    allocation: smoothing and normalisation run in place on it.
     """
-    word_topic = np.asarray(word_topic, dtype=np.float64)
-    vocabulary_size = word_topic.shape[0]
-    column_totals = word_topic.sum(axis=0) + vocabulary_size * beta
-    return (word_topic + beta) / column_totals[None, :]
+    probs = np.array(word_topic, dtype=np.float64)
+    column_totals = probs.sum(axis=0) + probs.shape[0] * beta
+    np.add(probs, beta, out=probs)
+    np.divide(probs, column_totals[None, :], out=probs)
+    return probs
 
 
 # --------------------------------------------------------------------------- #
@@ -188,6 +190,11 @@ class SparseDocTopicMatrix:
             cols, vals = self.row(d)
             dense[d, cols] = vals
         return dense
+
+    def row_totals(self) -> np.ndarray:
+        """Per-document token counts ``N_d`` (the row sums), as int64."""
+        cumulative = np.concatenate(([0], np.cumsum(self.values, dtype=np.int64)))
+        return cumulative[self.indptr[1:]] - cumulative[self.indptr[:-1]]
 
     def memory_bytes(self, value_bytes: int = 4, index_bytes: int = 4) -> int:
         """Approximate memory footprint in bytes (CSR: index + value per nnz, plus indptr)."""

@@ -14,9 +14,14 @@ from typing import Tuple
 
 import numpy as np
 
-from .count_matrices import count_by_doc_topic_dense, normalize_word_topic
+from .count_matrices import SparseDocTopicMatrix, count_by_word_topic, normalize_word_topic
 from .hyperparams import LDAHyperParams
 from .tokens import TokenList
+
+#: Cap on the elements one block of a likelihood pass materialises: a
+#: document's ``tokens x K_d`` gather in the training likelihood, the
+#: ``tokens x K`` responsibilities of the held-out fold-in.
+LIKELIHOOD_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -62,22 +67,56 @@ def document_topic_distributions(
 
 def training_log_likelihood(
     tokens: TokenList,
-    doc_topic_counts: np.ndarray,
+    doc_topic: SparseDocTopicMatrix,
     word_topic_counts: np.ndarray,
     params: LDAHyperParams,
 ) -> LikelihoodResult:
     """Per-token log-likelihood of the *training* tokens under the current model.
 
-    Each token's probability is ``sum_k theta[d, k] * phi[k, v]`` where
-    ``theta`` is the smoothed document mixture and ``phi = B_hat^T`` the
-    smoothed topic-word distributions.
+    A token's probability is ``p(w | d) = sum_k theta[d, k] * phi[w, k]``
+    with the smoothed mixture ``theta = (A + alpha) / (N_d + K * alpha)``
+    and ``phi = B_hat`` (Eq. 2).  Splitting off theta's prior mass gives
+
+        ``p(w | d) = (sum_{k in A_d} A[d, k] * phi[w, k] + alpha * sum_k phi[w, k])
+        / (N_d + K * alpha)``
+
+    — the same split the E-step samples from (``WordSide.prior_mass``) —
+    so a token costs ``K_d`` gathered products instead of ``K``.  Tokens
+    are grouped by document and each document gathers its tokens' ``phi``
+    entries at its own non-zero topics only, at most
+    :data:`LIKELIHOOD_BLOCK_ELEMENTS` at a time; no ``N x K`` or
+    ``D x K`` array is built.
     """
     if tokens.num_tokens == 0:
         return LikelihoodResult(0.0, 0)
-    theta = document_topic_distributions(doc_topic_counts, params.alpha)
     phi = normalize_word_topic(word_topic_counts, params.beta)  # V x K, columns sum to 1
-    token_probs = np.einsum(
-        "tk,tk->t", theta[tokens.doc_ids], phi[tokens.word_ids], optimize=True
+    num_topics = phi.shape[1]
+    flat_phi = phi.reshape(-1)
+    indptr = doc_topic.indptr.tolist()
+    counts = doc_topic.values.astype(np.float64)
+
+    order = np.argsort(tokens.doc_ids, kind="stable")
+    doc_ids = tokens.doc_ids[order]
+    word_ids = tokens.word_ids[order]
+    doc_bounds = np.searchsorted(doc_ids, np.arange(doc_topic.num_documents + 1)).tolist()
+    phi_rows = word_ids.astype(np.int64) * num_topics
+    doc_side = np.zeros(tokens.num_tokens)
+    for doc in range(doc_topic.num_documents):
+        first, last = indptr[doc], indptr[doc + 1]
+        topics, row_counts = doc_topic.indices[first:last], counts[first:last]
+        step = max(1, LIKELIHOOD_BLOCK_ELEMENTS // max(last - first, 1))
+        for start in range(doc_bounds[doc], doc_bounds[doc + 1], step):
+            stop = min(start + step, doc_bounds[doc + 1])
+            np.einsum(
+                "tk,k->t",
+                flat_phi[phi_rows[start:stop, None] + topics],
+                row_counts,
+                out=doc_side[start:stop],
+            )
+
+    prior_side = params.alpha * phi.sum(axis=1)[word_ids]
+    token_probs = (doc_side + prior_side) / (
+        doc_topic.row_totals()[doc_ids] + num_topics * params.alpha
     )
     token_probs = np.maximum(token_probs, 1e-300)
     return LikelihoodResult(float(np.log(token_probs).sum()), tokens.num_tokens)
@@ -125,21 +164,29 @@ def heldout_log_likelihood(
     num_topics = params.num_topics
     phi = normalize_word_topic(word_topic_counts, params.beta)  # V x K
 
-    # Soft fold-in (EM on theta with phi fixed): responsibilities per observed token.
+    # Soft fold-in (EM on theta with phi fixed), the observed tokens in
+    # blocks so no n_obs x K responsibility array is ever built.
+    block = max(1, LIKELIHOOD_BLOCK_ELEMENTS // num_topics)
     theta = np.full((num_documents, num_topics), 1.0 / num_topics)
-    obs_phi = phi[observed.word_ids]  # n_obs x K
     for _ in range(num_fold_in_iterations):
-        resp = theta[observed.doc_ids] * obs_phi
-        resp_sum = resp.sum(axis=1, keepdims=True)
-        resp_sum = np.maximum(resp_sum, 1e-300)
-        resp /= resp_sum
         expected_counts = np.zeros_like(theta)
-        np.add.at(expected_counts, observed.doc_ids, resp)
+        for start in range(0, observed.num_tokens, block):
+            stop = start + block
+            docs = observed.doc_ids[start:stop]
+            resp = theta[docs] * phi[observed.word_ids[start:stop]]
+            resp /= np.maximum(resp.sum(axis=1, keepdims=True), 1e-300)
+            np.add.at(expected_counts, docs, resp)
         theta = document_topic_distributions(expected_counts, params.alpha)
 
-    eval_probs = np.einsum(
-        "tk,tk->t", theta[evaluation.doc_ids], phi[evaluation.word_ids], optimize=True
-    )
+    eval_probs = np.empty(evaluation.num_tokens)
+    for start in range(0, evaluation.num_tokens, block):
+        stop = start + block
+        eval_probs[start:stop] = np.einsum(
+            "tk,tk->t",
+            theta[evaluation.doc_ids[start:stop]],
+            phi[evaluation.word_ids[start:stop]],
+            optimize=True,
+        )
     eval_probs = np.maximum(eval_probs, 1e-300)
     return LikelihoodResult(float(np.log(eval_probs).sum()), evaluation.num_tokens)
 
@@ -151,8 +198,6 @@ def log_likelihood_from_tokens(
     params: LDAHyperParams,
 ) -> LikelihoodResult:
     """Convenience wrapper: rebuild both count matrices and score the training set."""
-    from .count_matrices import count_by_word_topic  # local import avoids cycle at module load
-
-    doc_topic = count_by_doc_topic_dense(tokens, num_documents, params.num_topics)
+    doc_topic = SparseDocTopicMatrix.from_tokens(tokens, num_documents, params.num_topics)
     word_topic = count_by_word_topic(tokens, vocabulary_size, params.num_topics)
     return training_log_likelihood(tokens, doc_topic, word_topic, params)

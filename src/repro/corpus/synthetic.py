@@ -106,6 +106,11 @@ def generate_lda_corpus(
     prior uses a small alpha (at most 0.2) regardless of K, because real
     documents concentrate on a few topics; ``50/K`` is a *training* prior
     and would generate unrealistically diffuse documents for small K.
+
+    Both inverse-CDF draws search one CDF row per group of tokens
+    (``searchsorted(side="left")`` counts the entries strictly below each
+    uniform, as a dense ``u > cdf`` comparison would), so generation never
+    builds a tokens-by-``K`` or tokens-by-``V`` array.
     """
     if params is None:
         params = LDAHyperParams(
@@ -124,12 +129,21 @@ def generate_lda_corpus(
     # Sample topic per token from its document mixture via inverse CDF.
     doc_cdf = np.cumsum(doc_topic, axis=1)
     u = rng.random(total_tokens)
-    topics = (u[:, None] > doc_cdf[doc_ids]).sum(axis=1).astype(np.int32)
+    doc_starts = np.concatenate(([0], np.cumsum(lengths)))
+    topics = np.empty(total_tokens, dtype=np.int32)
+    for d in range(num_documents):
+        lo, hi = doc_starts[d], doc_starts[d + 1]
+        topics[lo:hi] = np.searchsorted(doc_cdf[d], u[lo:hi], side="left")
     topics = np.minimum(topics, num_topics - 1)
     # Sample word per token from its topic distribution via inverse CDF.
     word_cdf = np.cumsum(topic_word, axis=1)
     u = rng.random(total_tokens)
-    word_ids = (u[:, None] > word_cdf[topics]).sum(axis=1).astype(np.int32)
+    by_topic = np.argsort(topics, kind="stable")
+    topic_starts = np.searchsorted(topics[by_topic], np.arange(num_topics + 1))
+    word_ids = np.empty(total_tokens, dtype=np.int32)
+    for k in range(num_topics):
+        positions = by_topic[topic_starts[k] : topic_starts[k + 1]]
+        word_ids[positions] = np.searchsorted(word_cdf[k], u[positions], side="left")
     word_ids = np.minimum(word_ids, vocabulary_size - 1)
 
     tokens = TokenList(doc_ids, word_ids, topics)

@@ -42,6 +42,8 @@ class TestDocTopicDense:
     def test_row_sums_are_document_lengths(self, tiny_tokens):
         matrix = count_by_doc_topic_dense(tiny_tokens, 3, 3)
         assert list(matrix.sum(axis=1)) == [2, 4, 2]
+        sparse = SparseDocTopicMatrix.from_tokens(tiny_tokens, 4, 3)
+        assert sparse.row_totals().tolist() == [2, 4, 2, 0]
 
 
 class TestNormalizeWordTopic:
@@ -60,6 +62,16 @@ class TestNormalizeWordTopic:
         counts = np.zeros((4, 2))
         normalized = normalize_word_topic(counts, beta=0.5)
         assert (normalized > 0).all()
+
+    def test_bit_identical_to_out_of_place_formula(self, rng):
+        counts = rng.integers(0, 50, size=(40, 7))
+        original = counts.copy()
+        out_of_place = (counts + 0.01) / (counts.sum(axis=0) + 40 * 0.01)[None, :]
+        np.testing.assert_array_equal(normalize_word_topic(counts, beta=0.01), out_of_place)
+        floats = counts.astype(np.float64)
+        assert normalize_word_topic(floats, beta=0.01) is not floats
+        np.testing.assert_array_equal(counts, original)
+        np.testing.assert_array_equal(floats, original)
 
 
 class TestSparseDocTopicMatrix:

@@ -1,8 +1,28 @@
 """Tests for the synthetic corpus generators."""
 
 import numpy as np
+import pytest
 
-from repro.corpus import fit_zipf_exponent, generate_lda_corpus, generate_zipf_corpus
+from repro.corpus import ZipfModel, fit_zipf_exponent, generate_lda_corpus, generate_zipf_corpus
+from repro.corpus.synthetic import _document_lengths
+
+
+def dense_lda_draws(num_documents, vocabulary_size, num_topics, mean_document_length, seed):
+    """Oracle: the generator's inverse-CDF draws as dense ``u > cdf`` comparisons."""
+    rng = np.random.default_rng(seed)
+    alpha = min(0.2, 50.0 / num_topics)
+    zipf_base = ZipfModel(vocabulary_size, exponent=1.05).probabilities()
+    topic_word = rng.dirichlet(zipf_base * vocabulary_size * 0.05 + 1e-3, size=num_topics)
+    doc_topic = rng.dirichlet(np.full(num_topics, alpha), size=num_documents)
+    lengths = _document_lengths(num_documents, mean_document_length, rng)
+    doc_ids = np.repeat(np.arange(num_documents, dtype=np.int32), lengths)
+    u = rng.random(len(doc_ids))
+    topics = (u[:, None] > np.cumsum(doc_topic, axis=1)[doc_ids]).sum(axis=1)
+    topics = np.minimum(topics, num_topics - 1)
+    u = rng.random(len(doc_ids))
+    word_ids = (u[:, None] > np.cumsum(topic_word, axis=1)[topics]).sum(axis=1)
+    word_ids = np.minimum(word_ids, vocabulary_size - 1)
+    return doc_ids, word_ids, topics
 
 
 class TestLdaCorpus:
@@ -39,6 +59,16 @@ class TestLdaCorpus:
         first = generate_lda_corpus(20, 50, 4, 30, seed=1)
         second = generate_lda_corpus(20, 50, 4, 30, seed=2)
         assert not np.array_equal(first.tokens.word_ids, second.tokens.word_ids)
+
+    @pytest.mark.parametrize(
+        "shape", [(40, 300, 7, 30, 1), (25, 2000, 12, 50, 2)], ids=["V300", "V2000"]
+    )
+    def test_matches_dense_inverse_cdf_oracle(self, shape):
+        corpus = generate_lda_corpus(*shape)
+        doc_ids, word_ids, topics = dense_lda_draws(*shape)
+        np.testing.assert_array_equal(corpus.tokens.doc_ids, doc_ids)
+        np.testing.assert_array_equal(corpus.tokens.word_ids, word_ids)
+        np.testing.assert_array_equal(corpus.tokens.topics, topics)
 
     def test_term_frequencies_are_heavy_tailed(self):
         corpus = generate_lda_corpus(300, 2000, 20, 100, seed=5)

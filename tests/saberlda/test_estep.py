@@ -116,7 +116,9 @@ class TestEStep:
         tokens.randomize_topics(10, rng)
 
         def likelihood() -> float:
-            doc_topic = count_by_doc_topic_dense(tokens, medium_corpus.num_documents, 10)
+            doc_topic = SparseDocTopicMatrix.from_tokens(
+                tokens, medium_corpus.num_documents, 10
+            )
             word_topic = count_by_word_topic(tokens, medium_corpus.vocabulary_size, 10)
             return training_log_likelihood(tokens, doc_topic, word_topic, params).per_token
 
