@@ -8,9 +8,11 @@ fast.  It holds
   that every hot path — trainer E-step, distributed E-step, serving
   fold-in — resolves through one config knob,
 * the shared CDF primitives (:func:`sample_rows_from_cdf`,
-  :func:`sample_from_word_cdf`, :func:`concat_ranges`) both backends and
-  both subsystems sample with, and
-* :func:`esca_estep_vectorized`, the chunk-at-once E-step kernel.
+  :func:`sample_from_word_cdf`, :func:`search_rows`,
+  :func:`concat_ranges`) both backends and both subsystems sample with,
+* :func:`esca_estep_vectorized`, the chunk-at-once E-step kernel, and
+* :mod:`~repro.kernels.threads`, the short-lived thread pools that the
+  E-step and ``WordSide.prepare`` spread their row blocks over.
 
 The vectorized backend is bit-identical to the reference on every input
 — same uniforms, same order, same floating-point reduction shapes — so
@@ -24,6 +26,7 @@ from .cdf import (
     concat_ranges,
     sample_from_word_cdf,
     sample_rows_from_cdf,
+    search_rows,
     segment_pick_ranks,
 )
 from .estep import esca_estep_vectorized
@@ -36,5 +39,6 @@ __all__ = [
     "resolve_backend",
     "sample_from_word_cdf",
     "sample_rows_from_cdf",
+    "search_rows",
     "segment_pick_ranks",
 ]

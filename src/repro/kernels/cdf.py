@@ -47,8 +47,7 @@ def sample_from_word_cdf(
     Equivalent to ``sample_rows_from_cdf(cdf[word_ids], uniforms)`` but
     never materialises the full token-by-``K`` gather: narrow CDFs go
     through a blocked dense comparison, wide CDFs through one batched
-    binary search over all draws at once (``O(log K)`` gathered
-    comparisons per draw, no Python loop).
+    binary search over all draws at once (:func:`search_rows`).
     """
     word_ids = np.asarray(word_ids, dtype=np.int64)
     num_draws = word_ids.shape[0]
@@ -66,22 +65,35 @@ def sample_from_word_cdf(
             )
         return out
 
-    # Wide rows: batched per-draw binary search.  Only comparisons of
-    # stored CDF entries against the element-wise targets are involved,
-    # so the result is exactly ``searchsorted(row, target, "left")`` —
-    # the count of entries strictly below the target — for every draw.
     targets = uniforms * cdf[word_ids, num_topics - 1]
-    low = np.zeros(num_draws, dtype=np.int64)
-    high = np.full(num_draws, num_topics, dtype=np.int64)
-    while True:
-        active = low < high
-        if not active.any():
-            break
-        mid = (low + high) >> 1
-        less = cdf[word_ids, np.minimum(mid, num_topics - 1)] < targets
-        low = np.where(active & less, mid + 1, low)
-        high = np.where(active & ~less, mid, high)
-    return np.minimum(low, num_topics - 1, out=out)
+    return search_rows(cdf.reshape(-1), word_ids * num_topics, num_topics, targets)
+
+
+def search_rows(
+    flat_cdf: np.ndarray, row_offsets: np.ndarray, widths, targets: np.ndarray
+) -> np.ndarray:
+    """``min(#{j : row[j] < target}, width - 1)`` per draw, by batched binary search.
+
+    Draw ``i`` searches the non-decreasing row
+    ``flat_cdf[row_offsets[i] : row_offsets[i] + widths[i]]`` (``widths``
+    is one width for every draw or an array of one per draw).  The count
+    is built by binary lifting: from the highest power of two not above
+    the widest row down to one, a step is kept when the candidate count
+    fits the row and the entry just below it is still below the target.
+    That is ``O(log width)`` gathered comparisons per draw and no per-row
+    gather; only stored entries are compared against the targets, so the
+    result is exactly the dense count's (``searchsorted(row, target,
+    "left")``).
+    """
+    count = np.zeros(len(targets), dtype=np.int64)
+    step = 1 << (int(np.max(widths, initial=1)).bit_length() - 1)
+    while step:
+        candidate = count + step
+        keep = flat_cdf.take(row_offsets + np.minimum(candidate, widths) - 1) < targets
+        keep &= candidate <= widths
+        np.copyto(count, candidate, where=keep)
+        step >>= 1
+    return np.minimum(count, np.subtract(widths, 1), out=count)
 
 
 def segment_pick_ranks(

@@ -2,24 +2,39 @@
 
 The reference E-step (``repro.saberlda.estep``) visits documents in a
 Python loop — one product gather, one branch draw and two CDF searches
-per document.  This kernel flattens *all* token runs of the chunk into
-contiguous index arrays and executes the same mathematics chunk-at-once:
+per document.  This kernel executes the same mathematics chunk-at-once:
 
-* documents are grouped by their ``A``-row width ``K_d`` so the
-  ``P = A_d ⊙ B̂_v`` products of every same-width document stack into one
-  rectangular gather (row-wise reductions are shape-stable, so the
-  stacked ``sum``/``cumsum`` reproduce the reference's per-document
-  results bit-for-bit); everything width-independent — branch decisions,
-  per-segment ranks, uniform-stream offsets — runs once, globally;
-* the whole chunk's uniforms are drawn in one ``rng.random(total)`` call
-  and scattered to tokens through precomputed stream offsets — each
-  token of a non-empty document consumes exactly two uniforms (branch +
-  pick) and each token of an empty-row document exactly one, so the
-  offsets are known before any outcome is, and the draw *order* matches
-  the reference schedule exactly;
-* Problem-1 picks run as one stacked prefix-sum search per width group,
-  Problem-2 picks as one :func:`~repro.kernels.cdf.sample_from_word_cdf`
-  pass over every prior-side token of the chunk.
+* **Uniforms.** The whole chunk's uniforms are drawn in one
+  ``rng.random(total)`` call and reach tokens through precomputed stream
+  offsets.  Each token of a non-empty document consumes exactly two
+  uniforms (branch + pick) and each token of an empty-row document one,
+  so every offset is known before any outcome is, and the draw *order*
+  matches the reference schedule exactly.
+* **Pairs.** Every token of one (document, word) pair has the same
+  product row ``P = A_d ⊙ B̂_v``, so the row, its sum and its prefix sum
+  are computed once per distinct pair — with one flat ``take`` on
+  ``B̂`` — and shared by the pair's tokens.  In ~100-token documents
+  over a 5,000-word Zipfian vocabulary a third of the tokens repeat a
+  pair.
+* **Blocks.** Documents are ordered by their ``A``-row width ``K_d``
+  and cut into blocks of consecutive documents.  Inside a block the
+  product rows of same-width documents stack into one rectangle per
+  width; row-wise ``sum``/``cumsum`` are shape-stable, so the stacked
+  reductions reproduce the reference's per-document results bit for
+  bit.  Each block runs end to end — mass and CDF per width, then
+  branch, per-segment pick ranks, the Problem-1 pick (a binary search
+  of the pair's CDF) and the Problem-2 pick
+  (:func:`~repro.kernels.cdf.sample_from_word_cdf`) over all of its
+  tokens at once — and writes only its own tokens.
+* **Threads.** The blocks run on a pool of
+  :func:`~repro.kernels.threads.workers_for` threads (one per 2^20
+  elements of work, at most one per CPU), created and shut down inside
+  the call.  A block holds about a ``2 * workers``-th of the
+  chunk: blocks of one width each (a few hundred tokens) would spend
+  their time handing the interpreter lock back and forth between many
+  short NumPy calls.  No outcome depends on how the chunk is cut or
+  which thread ran a block, so every sampled topic is identical for any
+  worker count.
 
 The function is deliberately array-in/array-out (no repro imports), so
 the package stays dependency-free and both trainers can call it through
@@ -28,13 +43,16 @@ the thin dispatch in ``repro.saberlda.estep``.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import numpy as np
 
+from . import threads
 from .cdf import (
     DENSE_BLOCK_ELEMENTS,
     concat_ranges,
     sample_from_word_cdf,
-    sample_rows_from_cdf,
+    search_rows,
     segment_pick_ranks,
 )
 
@@ -92,34 +110,24 @@ def esca_estep_vectorized(
     seg_base = np.concatenate([[0], np.cumsum(seg_draws)[:-1]]).astype(np.int64)
     uniforms = rng.random(int(seg_draws.sum()))
 
-    prior_positions_parts = []
-    prior_uniform_parts = []
-
+    # Empty-row documents: only Problem 2 has mass.
     empty = seg_nnz == 0
     if empty.any():
-        prior_positions_parts.append(
-            concat_ranges(seg_starts[empty], seg_counts[empty])
+        positions = concat_ranges(seg_starts[empty], seg_counts[empty])
+        result_sorted[positions] = sample_from_word_cdf(
+            cdf,
+            words_sorted[positions],
+            uniforms[concat_ranges(seg_base[empty], seg_counts[empty])],
+            block_elements,
         )
-        prior_uniform_parts.append(concat_ranges(seg_base[empty], seg_counts[empty]))
 
     doc_branch_total = 0
     nonempty = np.flatnonzero(~empty)
     if nonempty.size:
         doc_branch_total = _sample_nonempty(
             nonempty, seg_starts, seg_counts, seg_docs, seg_base, seg_nnz,
-            doc_indptr, doc_nz_topics, doc_nz_counts, probs, prior_mass,
-            words_sorted, uniforms, result_sorted,
-            prior_positions_parts, prior_uniform_parts, block_elements,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Problem-2 draws for every prior-side token of the chunk at once.
-    # ------------------------------------------------------------------ #
-    if prior_positions_parts:
-        prior_positions = np.concatenate(prior_positions_parts)
-        prior_uniforms = uniforms[np.concatenate(prior_uniform_parts)]
-        result_sorted[prior_positions] = sample_from_word_cdf(
-            cdf, words_sorted[prior_positions], prior_uniforms, block_elements
+            doc_indptr, np.asarray(doc_nz_topics), np.asarray(doc_nz_counts),
+            probs, cdf, prior_mass, words_sorted, uniforms, result_sorted, block_elements,
         )
 
     new_topics[order] = result_sorted.astype(np.int32)
@@ -137,115 +145,155 @@ def _sample_nonempty(
     doc_nz_topics: np.ndarray,
     doc_nz_counts: np.ndarray,
     probs: np.ndarray,
+    cdf: np.ndarray,
     prior_mass: np.ndarray,
     words_sorted: np.ndarray,
     uniforms: np.ndarray,
     result_sorted: np.ndarray,
-    prior_positions_parts: list,
-    prior_uniform_parts: list,
     block_elements: int,
 ) -> int:
     """Sample every token whose document has a non-empty ``A`` row.
 
-    Segments are ordered by row width so same-width documents stack into
-    rectangular blocks; only the width-dependent product work runs per
-    block — branch decisions, ranks and uniform offsets are computed in
-    one global pass over the width-ordered token array.  Writes doc-side
-    picks into ``result_sorted``, appends prior-side (position,
-    uniform-index) pairs for the chunk-wide Problem-2 pass and returns
-    the doc-branch token count.
+    Segments are ordered by row width and cut into blocks; tokens are
+    grouped into (document, word) pairs that share one product row.
+    Every block runs end to end on the thread pool and writes its
+    tokens' topics into ``result_sorted``.  Returns the doc-branch token
+    count.
     """
     by_width = nonempty[np.argsort(seg_nnz[nonempty], kind="stable")]
     widths = seg_nnz[by_width]
     counts = seg_counts[by_width]
     num_segments = len(by_width)
+    num_words, num_topics = probs.shape
 
-    # Token-level arrays in (width, segment, rank) order.
+    # Token-level arrays in (width, segment, rank) order.  The r-th
+    # token of a segment draws its branch uniform at ``base + r``; its
+    # pick uniform sits at ``base + count + r'`` with ``r'`` its rank on
+    # the side it takes (prior-side ranks start after the doc side).
     tokens = concat_ranges(seg_starts[by_width], counts)
     rank = concat_ranges(np.zeros(num_segments, dtype=np.int64), counts)
     segrow = np.repeat(np.arange(num_segments, dtype=np.int64), counts)
     words = words_sorted[tokens]
-    branch_idx = np.repeat(seg_base[by_width], counts) + rank
+    branch_uniforms = uniforms[np.repeat(seg_base[by_width], counts) + rank]
     pick_base = np.repeat(seg_base[by_width] + counts, counts)
     seg_token_start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    seg_row_start = doc_indptr[seg_docs[by_width]]
+    token_row_start = seg_row_start[segrow]
 
-    # Width-group extents and their row-capped sub-blocks, shared by the
-    # doc-mass pass and the doc-side pick pass.
-    width_bounds = np.flatnonzero(np.diff(widths)) + 1
-    group_starts = np.concatenate([[0], width_bounds])
-    group_stops = np.concatenate([width_bounds, [num_segments]])
-    blocks = []  # (segment lo, segment hi, cached row stacks)
-    for group_start, group_stop in zip(group_starts, group_stops, strict=True):
-        width = int(widths[group_start])
-        max_rows = max(1, block_elements // width)
-        lo = group_start
-        while lo < group_stop:
-            hi = lo + 1
-            budget = int(counts[lo])
-            while hi < group_stop and budget + int(counts[hi]) <= max_rows:
-                budget += int(counts[hi])
-                hi += 1
-            row_starts = doc_indptr[seg_docs[by_width[lo:hi]]]
-            gather = row_starts[:, None] + np.arange(width, dtype=np.int64)[None, :]
-            blocks.append(
-                (
-                    lo,
-                    hi,
-                    np.asarray(doc_nz_topics)[gather].astype(np.int64),
-                    np.asarray(doc_nz_counts)[gather].astype(np.float64),
-                )
-            )
-            lo = hi
+    # Distinct (segment, word) pairs, ordered by segment, so the pairs
+    # of a block are contiguous; ``pair_of`` maps each token to its pair.
+    # A pair's CDF row sits at ``pair_cdf_start`` in its block's buffer
+    # (offset by the block's first pair).
+    key = segrow * num_words + words
+    by_key = np.argsort(key, kind="stable")
+    sorted_key = key[by_key]
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
+    pair_of = np.empty(len(key), dtype=np.int64)
+    pair_of[by_key] = np.cumsum(first) - 1
+    pair_key = sorted_key[first]
+    pair_segment = pair_key // num_words
+    pair_word = pair_key - pair_segment * num_words
+    pair_prior_mass = prior_mass[pair_word]
+    pair_row_offset = pair_word * num_topics
+    pair_width = widths[pair_segment]
+    pair_cdf_start = np.concatenate([[0], np.cumsum(pair_width)]).astype(np.int64)
+    seg_pair_start = np.searchsorted(pair_segment, np.arange(num_segments + 1))
+    flat_probs = probs.reshape(-1)
 
-    # Pass 1 — doc-side masses: P = A_d ⊙ B̂_v row sums, one rectangular
-    # block at a time (row width matches the reference's per-document
-    # arrays, so the pairwise-sum tree and every output bit agree).  The
-    # product rows are kept for the pick pass while the chunk's total
-    # fits the block budget; past it they are recomputed per block.
-    doc_mass = np.empty(len(tokens), dtype=np.float64)
-    total_product_elements = int((np.repeat(widths, counts)).sum())
-    keep_products = total_product_elements <= block_elements
-    products = []
-    for lo, hi, nz_topics, nz_counts in blocks:
+    def sample_block(block: Tuple[int, int]) -> int:
+        lo, hi = block
         t0, t1 = seg_token_start[lo], seg_token_start[hi]
-        local = segrow[t0:t1] - lo
-        product = probs[words[t0:t1, None], nz_topics[local]] * nz_counts[local]
-        doc_mass[t0:t1] = product.sum(axis=1)
-        if keep_products:
-            products.append(product)
+        p0, p1 = seg_pair_start[lo], seg_pair_start[hi]
+        cdf_base = pair_cdf_start[p0]
+        mass = np.empty(p1 - p0, dtype=np.float64)
+        doc_cdf = np.empty(pair_cdf_start[p1] - cdf_base, dtype=np.float64)
 
-    # Global branch decisions and per-segment doc/prior ranks: the pick
-    # uniform of the r-th doc-side token of a segment sits at
-    # ``base + count + r``, of the s-th prior-side token at
-    # ``base + count + n_doc + s``.
-    take = uniforms[branch_idx] < doc_mass / (doc_mass + prior_mass[words])
-    take_int = take.astype(np.int64)
-    doc_rank, prior_rank, ndoc_per_segment = segment_pick_ranks(
-        take_int, rank, seg_token_start[:-1], counts
-    )
+        # Mass and CDF, one width group at a time: the product rows
+        # ``P = A_d ⊙ B̂_v`` of the group's pairs stack into one
+        # rectangle whose row width matches the reference's
+        # per-document arrays, so the pairwise sum tree and every output
+        # bit agree.  ``A`` rows are gathered once per segment.
+        for g0, g1 in _width_groups(widths, lo, hi):
+            width = int(widths[g0])
+            q0, q1 = seg_pair_start[g0], seg_pair_start[g1]
+            gather = seg_row_start[g0:g1, None] + np.arange(width, dtype=np.int64)
+            local = pair_segment[q0:q1] - g0
+            index = doc_nz_topics[gather].astype(np.int64).take(local, axis=0)
+            index += pair_row_offset[q0:q1, None]
+            product = flat_probs.take(index)
+            product *= doc_nz_counts[gather].astype(np.float64).take(local, axis=0)
+            product.sum(axis=1, out=mass[q0 - p0 : q1 - p0])
+            rows = doc_cdf[pair_cdf_start[q0] - cdf_base : pair_cdf_start[q1] - cdf_base]
+            np.cumsum(product, axis=1, out=rows.reshape(q1 - q0, width))
 
-    # Pass 2 — doc-side picks: stacked prefix-sum search per block.
-    for index, (lo, hi, nz_topics, nz_counts) in enumerate(blocks):
-        t0, t1 = seg_token_start[lo], seg_token_start[hi]
-        selected = np.flatnonzero(take[t0:t1]) + t0
-        if not selected.size:
-            continue
-        local = segrow[selected] - lo
-        if keep_products:
-            product = products[index][selected - t0]
-        else:
-            product = probs[words[selected, None], nz_topics[local]] * nz_counts[local]
-        doc_cdf = np.cumsum(product, axis=1)
-        pick_uniforms = uniforms[pick_base[selected] + doc_rank[selected]]
-        picks = sample_rows_from_cdf(doc_cdf, pick_uniforms)
-        result_sorted[tokens[selected]] = nz_topics[local, picks]
-
-    prior_side = np.flatnonzero(~take)
-    if prior_side.size:
-        prior_positions_parts.append(tokens[prior_side])
-        prior_uniform_parts.append(
-            pick_base[prior_side]
-            + np.repeat(ndoc_per_segment, counts)[prior_side]
-            + prior_rank[prior_side]
+        # Branch and per-segment pick ranks.
+        pair = pair_of[t0:t1]
+        pair_mass = mass[pair - p0]
+        take = branch_uniforms[t0:t1] < pair_mass / (pair_mass + pair_prior_mass[pair])
+        take_int = take.astype(np.int64)
+        doc_rank, prior_rank, ndoc_per_segment = segment_pick_ranks(
+            take_int, rank[t0:t1], seg_token_start[lo:hi] - t0, counts[lo:hi]
         )
-    return int(take_int.sum())
+
+        # Problem-1 picks: a binary search of each doc-side token's pair CDF.
+        selected = np.flatnonzero(take)
+        if selected.size:
+            picked = pair[selected]
+            row_offsets = pair_cdf_start[picked] - cdf_base
+            row_widths = pair_width[picked]
+            targets = (
+                uniforms[pick_base[t0:t1][selected] + doc_rank[selected]]
+                * doc_cdf[row_offsets + row_widths - 1]
+            )
+            picks = search_rows(doc_cdf, row_offsets, row_widths, targets)
+            result_sorted[tokens[t0:t1][selected]] = doc_nz_topics[
+                token_row_start[t0:t1][selected] + picks
+            ]
+
+        # Problem-2 picks against the word CDFs.
+        prior_side = np.flatnonzero(~take)
+        if prior_side.size:
+            prior_uniform = (
+                pick_base[t0:t1][prior_side]
+                + np.repeat(ndoc_per_segment, counts[lo:hi])[prior_side]
+                + prior_rank[prior_side]
+            )
+            result_sorted[tokens[t0:t1][prior_side]] = sample_from_word_cdf(
+                cdf, words[t0:t1][prior_side], uniforms[prior_uniform], block_elements
+            )
+        return int(selected.size)
+
+    elements = widths * counts
+    total = int(elements.sum())
+    blocks = _blocks(elements, block_elements, threads.workers_for(total))
+    return sum(threads.map_blocks(sample_block, blocks, total))
+
+
+def _blocks(elements: np.ndarray, block_elements: int, workers: int) -> List[Tuple[int, int]]:
+    """``(segment lo, segment hi)`` runs of width-ordered segments.
+
+    ``elements`` is each segment's product work (``width x tokens``).  A
+    block closes before it would exceed its budget: about a
+    ``2 * workers``-th of the chunk, so every worker gets blocks of long
+    NumPy calls, and never more than ``block_elements`` — unless a single
+    segment alone is larger.  Segments are never split, so per-segment
+    pick ranks stay block-local.
+    """
+    budget = max(1, min(block_elements, -(-int(elements.sum()) // (2 * workers))))
+    blocks = []
+    lo = held = 0
+    for segment, size in enumerate(elements.tolist()):
+        if held and held + size > budget:
+            blocks.append((lo, segment))
+            lo, held = segment, 0
+        held += size
+    blocks.append((lo, len(elements)))
+    return blocks
+
+
+def _width_groups(widths: np.ndarray, lo: int, hi: int) -> List[Tuple[int, int]]:
+    """``(segment lo, segment hi)`` runs of equal width within ``[lo, hi)``."""
+    bounds = (np.flatnonzero(np.diff(widths[lo:hi])) + 1 + lo).tolist()
+    return list(zip([lo] + bounds, bounds + [hi], strict=True))

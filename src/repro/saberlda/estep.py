@@ -13,7 +13,8 @@ reference in the test suite.
 mathematics (see :class:`repro.kernels.KernelBackend`): the *reference*
 per-document loop implemented below — the draw-schedule spec — and the
 chunk-at-once *vectorized* kernel in ``repro.kernels.estep``, which is
-bit-identical to it and what both trainers run by default.
+bit-identical to it and what :func:`esca_estep`, both trainers and the
+ESCA (CPU) baseline run by default.
 """
 
 from __future__ import annotations
@@ -23,11 +24,17 @@ from typing import Union
 
 import numpy as np
 
-from ..core.count_matrices import SparseDocTopicMatrix, normalize_word_topic
+from ..core.count_matrices import SparseDocTopicMatrix
 from ..core.tokens import TokenList
 from ..kernels.backend import KernelBackend, resolve_backend
 from ..kernels.cdf import sample_rows_from_cdf
 from ..kernels.estep import esca_estep_vectorized
+from ..kernels.threads import map_blocks
+
+#: Elements of ``B̂`` one :meth:`WordSide.prepare` block covers: a few
+#: blocks per worker thread (10 at V = 5,000, K = 1,000), each large
+#: enough that its passes, not the per-block dispatch, dominate.
+WORD_SIDE_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass
@@ -51,10 +58,40 @@ class WordSide:
 
     @classmethod
     def prepare(cls, word_topic_counts: np.ndarray, alpha: float, beta: float) -> "WordSide":
-        """Compute ``B̂``, its per-row CDF and the prior masses from the counts ``B``."""
-        probs = normalize_word_topic(word_topic_counts, beta)
-        cdf = np.cumsum(probs, axis=1)
-        prior_mass = alpha * probs.sum(axis=1)
+        """Compute ``B̂``, its per-row CDF and the prior masses from the counts ``B``.
+
+        The column totals ``sum_v B_vk`` of Eq. (2) are summed over the
+        integer counts: integer sums are exact, so they equal the float64
+        totals of :func:`~repro.core.count_matrices.normalize_word_topic`
+        bit for bit without a float copy of ``B`` (float counts are
+        summed as float64, as that function does).  Rows are then
+        normalised, prefix-summed and row-summed in independent blocks
+        of :data:`WORD_SIDE_BLOCK_ELEMENTS` on the kernel thread pool
+        (:func:`repro.kernels.threads.map_blocks`).  Every row sees the
+        same operations and reduction shape as in the whole-matrix
+        formula, so the result is identical for any worker count.
+        """
+        counts = np.asarray(word_topic_counts)
+        num_words, num_topics = counts.shape
+        if np.issubdtype(counts.dtype, np.integer):
+            totals = counts.sum(axis=0)
+        else:
+            totals = counts.sum(axis=0, dtype=np.float64)
+        column_totals = totals + num_words * beta
+        probs = np.empty((num_words, num_topics), dtype=np.float64)
+        cdf = np.empty_like(probs)
+        prior_mass = np.empty(num_words, dtype=np.float64)
+
+        def fill(rows: slice) -> None:
+            block = probs[rows]
+            np.add(counts[rows], beta, out=block)
+            np.divide(block, column_totals, out=block)
+            np.cumsum(block, axis=1, out=cdf[rows])
+            np.sum(block, axis=1, out=prior_mass[rows])
+            prior_mass[rows] *= alpha
+
+        step = max(1, WORD_SIDE_BLOCK_ELEMENTS // num_topics)
+        map_blocks(fill, [slice(lo, lo + step) for lo in range(0, num_words, step)], probs.size)
         return cls(probs=probs, cdf=cdf, prior_mass=prior_mass)
 
     @property
@@ -80,26 +117,21 @@ class EStepResult:
         return self.doc_branch_tokens / total
 
 
-#: Shared CDF helper (moved to the kernel package; kept under its old
-#: name for callers that imported it from here).
-_sample_rows_from_cdf = sample_rows_from_cdf
-
-
 def esca_estep(
     tokens: TokenList,
     doc_topic: SparseDocTopicMatrix,
     word_side: WordSide,
     rng: np.random.Generator,
-    backend: Union[KernelBackend, str] = KernelBackend.REFERENCE,
+    backend: Union[KernelBackend, str] = KernelBackend.VECTORIZED,
 ) -> EStepResult:
     """Resample every token's topic with the sparsity-aware decomposition.
 
     Returns the new topic assignments aligned with ``tokens`` (the input
     list is not modified).  ``backend`` selects the execution — the
-    reference per-document loop below, or the chunk-at-once
-    :func:`~repro.kernels.estep.esca_estep_vectorized` kernel, which is
-    bit-identical to it (same uniforms, same draw order, same reduction
-    shapes) but replaces the Python loop with batched index arithmetic.
+    chunk-at-once :func:`~repro.kernels.estep.esca_estep_vectorized`
+    kernel (the default, as in :class:`~repro.saberlda.config.SaberLDAConfig`),
+    or the reference per-document loop below, which it is bit-identical
+    to (same uniforms, same draw order, same reduction shapes).
     """
     if resolve_backend(backend) is KernelBackend.VECTORIZED:
         new_topics, doc_branch, prior_branch = esca_estep_vectorized(
@@ -143,7 +175,7 @@ def esca_estep(
 
         if len(nz_topics) == 0:
             # Empty document row: only Problem 2 has mass.
-            chosen = _sample_rows_from_cdf(word_side.cdf[words], rng.random(count))
+            chosen = sample_rows_from_cdf(word_side.cdf[words], rng.random(count))
             new_topics[positions] = chosen.astype(np.int32)
             continue
 
@@ -158,13 +190,13 @@ def esca_estep(
 
         if take_doc_side.any():
             doc_cdf = np.cumsum(product[take_doc_side], axis=1)
-            picks = _sample_rows_from_cdf(doc_cdf, rng.random(int(take_doc_side.sum())))
+            picks = sample_rows_from_cdf(doc_cdf, rng.random(int(take_doc_side.sum())))
             result[take_doc_side] = nz_topics[picks]
 
         prior_side = ~take_doc_side
         if prior_side.any():
             cdf_rows = word_side.cdf[words[prior_side]]
-            result[prior_side] = _sample_rows_from_cdf(
+            result[prior_side] = sample_rows_from_cdf(
                 cdf_rows, rng.random(int(prior_side.sum()))
             )
 

@@ -5,9 +5,9 @@ Each iteration follows Alg. 1 exactly:
 1. **E-step** — every chunk's tokens are resampled with the
    sparsity-aware decomposition against the frozen matrices ``A`` and
    ``B̂`` (the mathematics run vectorised; see ``estep.py``);
-2. **M-step** — the chunk rows of ``A`` are rebuilt and merged, ``B`` is
-   recounted, ``B̂``/``Q`` and the per-word sampling structures are
-   re-prepared.
+2. **M-step** — the chunk rows of ``A`` are rebuilt and merged and ``B``
+   is recounted; ``B̂``/``Q`` and the per-word sampling structures are
+   prepared from it at the top of the next E-step.
 
 ESCA is bulk synchronous, so how many devices share the work changes
 only what an iteration *costs*, never what it computes.  That is why
@@ -218,12 +218,17 @@ def run_esca(
     doc_topic = rebuild_doc_topic(layouts, num_documents, params.num_topics)
     all_tokens = gather_layout_tokens(layouts)
     word_topic = coster.count_word_topic(layouts, all_tokens, vocabulary_size)
-    word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
 
     history: list = []
     cumulative = 0.0
     for iteration in range(1, config.num_iterations + 1):
         # ------------------------------ E-step ------------------------------ #
+        # B̂ is prepared where it is read, so no word side outlives the
+        # E-step: the M-step below recounts B with neither the stale
+        # word side nor the old B alive, and the last iteration prepares
+        # none that nothing would read.
+        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
+        del word_topic
         doc_branch_tokens = 0
         for layout in layouts:
             result = esca_estep(
@@ -231,12 +236,12 @@ def run_esca(
             )
             layout.tokens.topics = result.new_topics
             doc_branch_tokens += result.doc_branch_tokens
+        del word_side
 
         # ------------------------------ M-step ------------------------------ #
         doc_topic = rebuild_doc_topic(layouts, num_documents, params.num_topics)
         all_tokens = gather_layout_tokens(layouts)
         word_topic = coster.count_word_topic(layouts, all_tokens, vocabulary_size)
-        word_side = WordSide.prepare(word_topic, params.alpha, params.beta)
 
         # --------------------------- Model quality -------------------------- #
         log_likelihood: Optional[float] = None

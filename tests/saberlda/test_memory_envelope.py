@@ -11,6 +11,7 @@ import tracemalloc
 
 from repro.corpus import DatasetDescriptor, generate_lda_corpus
 from repro.evaluation import memory_footprint
+from repro.kernels import threads
 from repro.saberlda import SaberLDAConfig, SaberLDATrainer
 
 NUM_TOPICS = 1_000
@@ -26,6 +27,17 @@ ENVELOPE_FACTOR = 8
 
 
 def test_fit_peak_stays_within_memory_model_budget():
+    _assert_fit_peak_within_budget()
+
+
+def test_fit_peak_with_four_workers_stays_within_memory_model_budget(monkeypatch):
+    """Blocks in flight on four threads at once still fit the same budget."""
+    monkeypatch.setattr(threads, "worker_count", lambda: 4)
+    monkeypatch.setattr(threads, "MIN_PARALLEL_ELEMENTS", 1)
+    _assert_fit_peak_within_budget()
+
+
+def _assert_fit_peak_within_budget():
     corpus = generate_lda_corpus(**CORPUS_SPEC)
     config = SaberLDAConfig.paper_defaults(
         NUM_TOPICS, num_iterations=2, num_chunks=2, seed=1, evaluate_every=1
