@@ -9,7 +9,8 @@ reference (asserted here on every cell).  The sweep reports wall-clock
 tokens/sec for both backends across corpus sizes x K for
 
 * the **training E-step** (one full ``esca_estep`` pass over a chunk),
-* the **serving fold-in** (a warmed engine folding a query stream in).
+* the **serving fold-in** (a warmed frozen state folding a query stream
+  in, one ``FrozenModelState.fold_in`` call per micro-batch).
 
 Results seed the ``BENCH_*`` trajectory: the JSON twin is
 ``benchmarks/results/BENCH_kernels.json``, uploaded by CI's perf-smoke
@@ -47,6 +48,8 @@ from repro.telemetry import (
 
 SEED = 2017
 BACKENDS = (KernelBackend.REFERENCE, KernelBackend.VECTORIZED)
+#: Documents per fold-in call: the serving scheduler's default micro-batch.
+FOLDIN_BATCH_DOCS = 16
 
 FULL = {
     "mode": "full",
@@ -175,16 +178,18 @@ def _foldin_row(spec, corpus_spec, num_topics, tracer, metrics):
     outputs = {}
     for backend in BACKENDS:
         state = FrozenModelState.prepare(model, backend=backend)
-        for word_id in np.unique(np.concatenate(documents)):
-            state.bank.sampler(int(word_id))  # steady state: no build transient
+        # Steady state: no build transient (word ids only on the vectorized path).
+        state.touch_samplers(np.unique(np.concatenate(documents)))
 
         def serve_stream(state=state, backend=backend):
-            results = [
-                state.fold_in(
-                    document, request_rng(SEED, index), num_sweeps=spec["num_sweeps"]
+            results = []
+            for start in range(0, len(documents), FOLDIN_BATCH_DOCS):
+                stop = min(start + FOLDIN_BATCH_DOCS, len(documents))
+                results += state.fold_in(
+                    documents[start:stop],
+                    [request_rng(SEED, index) for index in range(start, stop)],
+                    num_sweeps=spec["num_sweeps"],
                 )
-                for index, document in enumerate(documents)
-            ]
             outputs[backend] = np.concatenate([result.topics for result in results])
             return results
 

@@ -10,7 +10,8 @@ fast.  It holds
 * the shared CDF primitives (:func:`sample_rows_from_cdf`,
   :func:`sample_from_word_cdf`, :func:`search_rows`,
   :func:`concat_ranges`) both backends and both subsystems sample with,
-* :func:`esca_estep_vectorized`, the chunk-at-once E-step kernel, and
+* :func:`esca_estep_vectorized`, the chunk-at-once E-step kernel,
+* :func:`fold_in_sweeps`, serving's batch-at-once fold-in kernel, and
 * :mod:`~repro.kernels.threads`, the short-lived thread pools that the
   E-step and ``WordSide.prepare`` spread their row blocks over.
 
@@ -30,12 +31,15 @@ from .cdf import (
     segment_pick_ranks,
 )
 from .estep import esca_estep_vectorized
+from .foldin import FoldInSweeps, fold_in_sweeps
 
 __all__ = [
     "DENSE_BLOCK_ELEMENTS",
+    "FoldInSweeps",
     "KernelBackend",
     "concat_ranges",
     "esca_estep_vectorized",
+    "fold_in_sweeps",
     "resolve_backend",
     "sample_from_word_cdf",
     "sample_rows_from_cdf",

@@ -63,7 +63,6 @@ class WaryTree:
         num_outcomes = len(weights)
         prefix = np.cumsum(weights)
         total = float(prefix[-1])
-        steps = int(np.ceil(num_outcomes / branching))
 
         # Pad each level to a multiple of the branching factor with the level's
         # running total so padded slots never win a vote for x <= total.
@@ -72,7 +71,6 @@ class WaryTree:
         levels.append(current)
         while len(current) > branching:
             upper = current[branching - 1 :: branching]
-            steps += int(np.ceil(len(upper) / branching))
             current = _pad_to_multiple(upper, branching, total)
             levels.append(current)
         levels.reverse()
@@ -81,7 +79,7 @@ class WaryTree:
             branching=branching,
             levels=levels,
             num_outcomes=num_outcomes,
-            construction_steps=steps,
+            construction_steps=wary_construction_steps(num_outcomes, branching),
         )
 
     # ------------------------------------------------------------------ #
@@ -152,3 +150,18 @@ def _pad_to_multiple(values: np.ndarray, multiple: int, fill: float) -> np.ndarr
         return values.astype(np.float64, copy=True)
     pad = multiple - remainder
     return np.concatenate([values, np.full(pad, fill)]).astype(np.float64)
+
+
+def wary_construction_steps(num_outcomes: int, branching: int = 32) -> int:
+    """W-wide warp steps to build a tree over ``num_outcomes`` weights.
+
+    ``ceil(K / W)`` steps for the leaf prefix level plus one step per
+    ``W`` entries of every upper level — a function of ``K`` and ``W``
+    only, so a build can be charged without building the tree.
+    """
+    groups = -(-num_outcomes // branching)
+    steps = groups
+    while groups > 1:
+        groups = -(-groups // branching)
+        steps += groups
+    return steps

@@ -18,6 +18,10 @@ Gibbs sweeps with the paper's sparsity-aware decomposition.  Because
 W-ary tree — the same ``repro.sampling`` implementations the trainer
 ablates) are built *lazily per hot word* and kept in an LRU
 :class:`WordSamplerBank` instead of being rebuilt every iteration.
+:meth:`FrozenModelState.fold_in` folds a whole micro-batch per call —
+one pass per sweep over every document on the vectorized path, whose
+bank keeps only word ids (the row CDFs answer Problem 2) — with each
+request's result independent of its batch.
 
 **Request path** (:mod:`~repro.serving.queue` /
 :mod:`~repro.serving.scheduler` / :mod:`~repro.serving.cache`) — a
@@ -106,7 +110,6 @@ from .foldin import (
     FoldInResult,
     FrozenModelState,
     WordSamplerBank,
-    fold_in_document,
     fold_in_proximity,
     request_rng,
 )
@@ -179,7 +182,6 @@ __all__ = [
     "dispatch_tally_increment",
     "document_digest",
     "engine_results_digest",
-    "fold_in_document",
     "fold_in_proximity",
     "layout_batch",
     "make_requests",

@@ -188,16 +188,26 @@ class InferenceEngine:
     # ------------------------------------------------------------------ #
     def infer_request(self, word_ids: Sequence[int], request_id: int) -> FoldInResult:
         """Fold in one document outside any batch (identical result in a batch)."""
-        rng = request_rng(self.seed, request_id)
-        return self.state.fold_in(word_ids, rng, num_sweeps=self.num_sweeps)
+        return self.infer_requests([word_ids], [request_id])[0]
+
+    def infer_requests(
+        self, documents: Sequence[Sequence[int]], request_ids: Sequence[int]
+    ) -> List[FoldInResult]:
+        """Fold in a batch of documents with one fold-in call.
+
+        Document ``i`` draws from ``request_rng(seed, request_ids[i])``,
+        so each result is the one the request gets alone.
+        """
+        rngs = [request_rng(self.seed, request_id) for request_id in request_ids]
+        return self.state.fold_in(documents, rngs, num_sweeps=self.num_sweeps)
 
     def execute(self, batch: InferenceBatch) -> BatchExecution:
         """Run fold-in for every request of the batch and cost the pass."""
         build_mark = self.state.bank.begin_batch()
-        results = [
-            self.infer_request(request.word_ids, request.request_id)
-            for request in batch.requests
-        ]
+        results = self.infer_requests(
+            [request.word_ids for request in batch.requests],
+            [request.request_id for request in batch.requests],
+        )
         built = self.state.bank.builds_since(build_mark)
         phase_seconds = self._batch_phase_seconds(batch, results, built)
         return BatchExecution(
@@ -335,8 +345,9 @@ def warm_sampler_bank(
 
     Returns how many structures were built.  Benchmarks use this to
     separate steady-state latency from the first-touch build transient.
+    On the vectorized W-ary path the words enter the bank's integer LRU
+    and no tree is built (:meth:`FrozenModelState.touch_samplers`).
     """
     mark = engine.state.bank.begin_batch()
-    for word_id in np.unique(np.asarray(word_ids, dtype=np.int64)):
-        engine.state.bank.sampler(int(word_id))
+    engine.state.touch_samplers(np.unique(np.asarray(word_ids, dtype=np.int64)))
     return engine.state.bank.builds_since(mark)

@@ -24,28 +24,36 @@ Everything is deterministic given the RNG: tokens are visited in
 position order and the draw schedule per token is fixed, so a seeded
 fold-in is bit-reproducible — the anchor of the serving golden tests and
 of the plain/row-sharded/column-sharded checkpoint equivalence check.
-That schedule is preserved across kernel backends
-(:class:`repro.kernels.KernelBackend`): the *reference* execution is the
-per-slot loop below, the *vectorized* one (serving's default) batches
-each sweep's products, prefix sums and Problem-2 draws but consumes the
-same uniforms in the same order and touches the sampler bank in the same
-sequence, so both produce identical bits.
+
+:meth:`FrozenModelState.fold_in` folds a whole micro-batch in one call,
+each document with its own generator.  The *vectorized* W-ary execution
+(serving's default) runs one pass per sweep over every document of the
+batch (:func:`repro.kernels.foldin.fold_in_sweeps`) and answers Problem 2
+from the bank's row CDFs, which are bit-identical to each word's tree.
+It records the bank touches the per-document loop would make and
+replays them, request by request, into the bank's integer LRU
+(:meth:`WordSamplerBank.touch`), so the build/hit/eviction counters the
+cost model charges evolve exactly as before while no tree is built.  The
+*reference* execution (the per-slot loop below) and the alias-table kind
+still fold each document in on its own.  Every execution consumes the
+same uniforms in the same order and produces identical bits, whatever
+the batch holds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.model import LDAModel
 from ..kernels.backend import KernelBackend, resolve_backend
-from ..kernels.cdf import concat_ranges, sample_from_word_cdf, segment_pick_ranks
+from ..kernels.foldin import fold_in_sweeps
 from ..sampling.alias_table import AliasTable
 from ..sampling.multinomial import sample_sparse_vector
-from ..sampling.wary_tree import WaryTree
+from ..sampling.wary_tree import WaryTree, wary_construction_steps
 from ..saberlda.config import PreprocessKind
 
 #: A pre-processed Problem-2 sampler of one word.
@@ -67,6 +75,11 @@ class WordSamplerBank:
         Maximum number of word structures kept resident (LRU eviction) —
         the serving analogue of the shared-memory budget: only the hot
         head of the query vocabulary stays pre-processed.
+
+    The LRU maps word ids to their structures.  A word recorded by
+    :meth:`touch` holds ``None`` instead: it is charged and resident
+    for the accounting, but its tree is only built if :meth:`sampler`
+    asks for it.
     """
 
     phi: np.ndarray
@@ -76,7 +89,7 @@ class WordSamplerBank:
     hits: int = 0
     evictions: int = 0
     construction_steps: int = 0
-    _samplers: "OrderedDict[int, WordSampler]" = field(default_factory=OrderedDict)
+    _samplers: "OrderedDict[int, Optional[WordSampler]]" = field(default_factory=OrderedDict)
     #: Reusable uniform buffers (two: the alias table draws a pair of
     #: streams per batch).  Fold-in profiles showed per-call allocation
     #: of the uniform arrays; :meth:`draw` fills these views in place
@@ -95,6 +108,10 @@ class WordSamplerBank:
         cls, parent: "WordSamplerBank", share_phi_cdf: bool = False
     ) -> "WordSamplerBank":
         """A cold bank over the parent's frozen ``phi`` (LRU/counters reset).
+
+        The replica's LRU starts empty; a replica that serves the
+        vectorized W-ary fold-in fills it through :meth:`touch`, with
+        word ids only, never trees.
 
         With ``share_phi_cdf`` (pass it when the replica will serve the
         vectorized backend), the parent's :attr:`phi_cdf` is built once
@@ -117,8 +134,8 @@ class WordSamplerBank:
         W-ary tree (both are ``np.cumsum(phi[v])``), so the vectorized
         fold-in can answer every word's Problem-2 draws from this one
         matrix — with exactly the results the per-word trees give —
-        while the trees themselves remain the structures the LRU bank
-        builds and the cost model charges.
+        while the bank's LRU (:meth:`touch`) keeps the build accounting
+        the cost model charges.
         """
         if self._phi_cdf is None:
             self._phi_cdf = np.cumsum(self.phi, axis=1)
@@ -150,16 +167,15 @@ class WordSamplerBank:
     def sampler(self, word_id: int) -> WordSampler:
         """The pre-processed sampler of one word, building it on first touch."""
         word_id = int(word_id)
-        cached = self._samplers.get(word_id)
-        if cached is not None:
+        if word_id in self._samplers:
             self.hits += 1
             self._samplers.move_to_end(word_id)
+            cached = self._samplers[word_id]
+            if cached is None:
+                # Charged when :meth:`touch` recorded it; built on demand.
+                cached = self._samplers[word_id] = self._build(word_id)
             return cached
-        weights = self.phi[word_id]
-        if self.kind is PreprocessKind.ALIAS_TABLE:
-            built: WordSampler = AliasTable.build(weights)
-        else:
-            built = WaryTree.build(weights)
+        built = self._build(word_id)
         self.builds += 1
         self.construction_steps += built.construction_steps
         self._samplers[word_id] = built
@@ -167,6 +183,44 @@ class WordSamplerBank:
             self._samplers.popitem(last=False)
             self.evictions += 1
         return built
+
+    def _build(self, word_id: int) -> WordSampler:
+        weights = self.phi[word_id]
+        if self.kind is PreprocessKind.ALIAS_TABLE:
+            return AliasTable.build(weights)
+        return WaryTree.build(weights)
+
+    def touch(self, word_ids: np.ndarray) -> None:
+        """Replay sampler touches into the LRU as word ids, building nothing.
+
+        Each touch updates the LRU and the counters exactly as
+        :meth:`sampler` would: a resident word is a hit and moves to the
+        most recent end; a missing word is a build, charged the W-ary
+        step count for ``K`` (:func:`wary_construction_steps`), and may
+        evict the least recent word.  The vectorized fold-in samples
+        from :attr:`phi_cdf`, so it needs the accounting but never the
+        tree.  W-ary kind only: an alias table's step count depends on
+        its weights.
+        """
+        if self.kind is not PreprocessKind.WARY_TREE:
+            raise ValueError("touch() charges W-ary builds; alias tables must be built")
+        samplers, capacity = self._samplers, self.capacity
+        move_to_end = samplers.move_to_end
+        touches = np.asarray(word_ids, dtype=np.int64).tolist()
+        builds = evictions = 0
+        for word_id in touches:
+            if word_id in samplers:
+                move_to_end(word_id)
+            else:
+                samplers[word_id] = None
+                builds += 1
+                if len(samplers) > capacity:
+                    samplers.popitem(last=False)
+                    evictions += 1
+        self.hits += len(touches) - builds
+        self.builds += builds
+        self.evictions += evictions
+        self.construction_steps += builds * wary_construction_steps(self.phi.shape[1])
 
     def draw(
         self,
@@ -232,41 +286,28 @@ class FoldInResult:
         return [(int(k), float(self.theta[k])) for k in order]
 
 
-def fold_in_document(
-    word_ids: Sequence[int],
+def _fold_in_one(
+    word_ids: np.ndarray,
     phi: np.ndarray,
     prior_mass: np.ndarray,
     alpha: float,
     bank: WordSamplerBank,
     rng: np.random.Generator,
-    num_sweeps: int = 15,
-    backend: Union[KernelBackend, str] = KernelBackend.REFERENCE,
+    num_sweeps: int,
+    backend: KernelBackend,
 ) -> FoldInResult:
-    """Fold one unseen document into a frozen model.
+    """Fold one document in with the per-document loop.
 
-    ``phi`` and ``prior_mass`` are the frozen per-word quantities
-    (``B̂`` and ``Q_v = alpha Σ_k B̂_vk``); ``bank`` answers Problem 2.
     Sweep 0 initialises every token from its word's prior-side sampler
     (the document has no counts yet); each later sweep freezes the
     document counts and resamples every token with the two-branch
     decomposition.  Tokens are visited grouped by word in ascending word
     id — the PDOW ordering of a one-document chunk — so the RNG schedule
-    is a pure function of the (sorted) query and the seed.
-
-    ``backend`` selects the sweep execution: the reference per-slot loop
-    or the vectorized one (products and prefix sums batched across all
-    runs, every slot of a run sampled with one ``searchsorted``).  Both
-    consume the same uniforms in the same order, touch the sampler bank
-    in the same sequence (preserving LRU/build accounting) and produce
-    bit-identical results.
+    is a pure function of the (sorted) query and the generator.
+    ``backend`` picks the reference per-slot loop or the vectorized
+    per-run one (the alias kind's pair-of-streams draw keeps the runs).
     """
-    if num_sweeps < 1:
-        raise ValueError("num_sweeps must be >= 1")
-    backend = resolve_backend(backend)
-    word_ids = np.asarray(word_ids, dtype=np.int64)
     num_topics = int(phi.shape[1])
-    if word_ids.size and (word_ids.min() < 0 or word_ids.max() >= phi.shape[0]):
-        raise ValueError("query word ids must be in [0, vocabulary_size)")
     topics = np.empty(len(word_ids), dtype=np.int32)
     counts = np.zeros(num_topics, dtype=np.int64)
     if len(word_ids) == 0:
@@ -283,15 +324,6 @@ def fold_in_document(
         (int(sorted_words[start]), order[start:stop])
         for start, stop in zip(starts, stops, strict=True)
     ]
-
-    if backend is KernelBackend.VECTORIZED and bank.kind is PreprocessKind.WARY_TREE:
-        # The W-ary kind consumes exactly two uniforms per token per
-        # sweep (branch + pick), so the whole sweep batches; the alias
-        # kind's pair-of-streams draw keeps the per-run path below.
-        return _fold_in_wary_vectorized(
-            order, sorted_words, runs, num_topics, phi, prior_mass,
-            alpha, bank, rng, num_sweeps,
-        )
 
     # Sweep 0: no document counts yet, only Problem 2 has mass.
     for word_id, positions in runs:
@@ -314,112 +346,6 @@ def fold_in_document(
         counts = np.bincount(topics, minlength=num_topics).astype(np.int64)
 
     totals = len(word_ids) + num_topics * alpha
-    theta = (counts + alpha) / totals
-    return FoldInResult(theta, counts, topics, num_sweeps)
-
-
-def _fold_in_wary_vectorized(
-    order: np.ndarray,
-    sorted_words: np.ndarray,
-    runs: list,
-    num_topics: int,
-    phi: np.ndarray,
-    prior_mass: np.ndarray,
-    alpha: float,
-    bank: WordSamplerBank,
-    rng: np.random.Generator,
-    num_sweeps: int,
-) -> FoldInResult:
-    """Fully batched fold-in for the W-ary sampler kind.
-
-    Every sweep draws its whole uniform stream in one call — token ``t``
-    of run ``r`` consumes uniform ``base_r + rank_t`` for the branch and
-    one pick uniform at a precomputed offset (doc-side picks of a run
-    precede its prior-side picks, exactly the reference order) — then
-    resolves all Problem-1 picks with one stacked prefix-sum search and
-    all Problem-2 picks with one pass over the bank's ``phi_cdf`` (bit-
-    identical to each word's W-ary tree).  The sampler bank is still
-    touched once per run that draws prior-side, in run order, so the
-    LRU state and build accounting evolve exactly as in the reference.
-    """
-    num_tokens = int(sorted_words.shape[0])
-    phi_cdf = bank.phi_cdf
-    num_runs = len(runs)
-    run_words = np.fromiter((w for w, _p in runs), dtype=np.int64, count=num_runs)
-    run_lengths = np.fromiter(
-        (len(p) for _w, p in runs), dtype=np.int64, count=num_runs
-    )
-
-    # Sweep 0: prior draws only — touch every word in run order, then
-    # answer the whole document with one batched CDF pass.  Document
-    # counts are carried sparsely between sweeps (``unique`` of the
-    # assignments equals ``flatnonzero``/gather of the dense bincount,
-    # exactly) so no per-sweep pass over all ``K`` topics is needed.
-    for word_id in run_words:
-        bank.sampler(int(word_id))
-    drawn = sample_from_word_cdf(phi_cdf, sorted_words, rng.random(num_tokens))
-    topics = np.empty(num_tokens, dtype=np.int32)
-    topics[order] = drawn.astype(np.int32)
-    nz_topics, nz_occupancy = np.unique(drawn, return_counts=True)
-
-    # Per-token stream offsets, fixed across sweeps (2 uniforms/token).
-    token_run = np.repeat(np.arange(num_runs, dtype=np.int64), run_lengths)
-    rank = concat_ranges(np.zeros(num_runs, dtype=np.int64), run_lengths)
-    run_starts = np.concatenate([[0], np.cumsum(run_lengths)[:-1]]).astype(np.int64)
-    seg_base = 2 * run_starts
-    branch_idx = np.repeat(seg_base, run_lengths) + rank
-    pick_base = np.repeat(seg_base + run_lengths, run_lengths)
-    run_prior_mass = prior_mass[run_words]
-
-    for _ in range(1, num_sweeps):
-        nz_counts = nz_occupancy.astype(np.float64)
-        width = int(nz_topics.shape[0])
-        products = phi[run_words[:, None], nz_topics[None, :]] * nz_counts[None, :]
-        doc_mass = products.sum(axis=1)
-        ratio = doc_mass / (doc_mass + run_prior_mass)
-
-        uniforms = rng.random(2 * num_tokens)
-        take_doc = uniforms[branch_idx] < ratio[token_run]
-
-        take_int = take_doc.astype(np.int64)
-        doc_rank, prior_rank, ndoc_per_run = segment_pick_ranks(
-            take_int, rank, run_starts, run_lengths
-        )
-
-        chosen = np.empty(num_tokens, dtype=np.int64)
-        doc_side = np.flatnonzero(take_doc)
-        if doc_side.size:
-            doc_cdf = np.cumsum(products, axis=1)
-            rows = doc_cdf[token_run[doc_side]]
-            # The reference scales by the run's pairwise sum (its
-            # ``weights.sum()``), not the prefix's last entry.
-            targets = (
-                uniforms[pick_base[doc_side] + doc_rank[doc_side]]
-                * doc_mass[token_run[doc_side]]
-            )
-            picks = np.minimum((rows < targets[:, None]).sum(axis=1), width - 1)
-            chosen[doc_side] = nz_topics[picks]
-
-        prior_side = np.flatnonzero(~take_doc)
-        if prior_side.size:
-            for r in np.flatnonzero(ndoc_per_run < run_lengths):
-                bank.sampler(int(run_words[r]))
-            prior_idx = (
-                pick_base[prior_side]
-                + np.repeat(ndoc_per_run, run_lengths)[prior_side]
-                + prior_rank[prior_side]
-            )
-            chosen[prior_side] = sample_from_word_cdf(
-                phi_cdf, sorted_words[prior_side], uniforms[prior_idx]
-            )
-
-        topics = np.empty(num_tokens, dtype=np.int32)
-        topics[order] = chosen.astype(np.int32)
-        nz_topics, nz_occupancy = np.unique(chosen, return_counts=True)
-
-    counts = np.zeros(num_topics, dtype=np.int64)
-    counts[nz_topics] = nz_occupancy
-    totals = num_tokens + num_topics * alpha
     theta = (counts + alpha) / totals
     return FoldInResult(theta, counts, topics, num_sweeps)
 
@@ -510,6 +436,12 @@ class FrozenModelState:
     ``phi`` comes from :meth:`LDAModel.fold_in_phi` (zero-count words
     fall back to the symmetric prior), ``prior_mass`` is ``Q_v`` and the
     bank holds the lazily built per-word samplers.
+
+    ``phi`` (and the bank's ``phi_cdf``) keep their backing — an mmap
+    checkpoint's arrays stay ``np.memmap`` — but fold-in indexes plain
+    ``ndarray`` views of them, made once here: every index into a
+    ``np.memmap`` returns another ``memmap`` and pays the subclass's
+    bookkeeping, for the same bytes.
     """
 
     model: LDAModel
@@ -517,9 +449,22 @@ class FrozenModelState:
     prior_mass: np.ndarray
     bank: WordSamplerBank
     backend: KernelBackend = KernelBackend.VECTORIZED
+    _phi_view: np.ndarray = field(init=False, repr=False)
+    _prior_mass_view: np.ndarray = field(init=False, repr=False)
+    _phi_cdf_view: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         self.backend = resolve_backend(self.backend)
+        self._phi_view = self.phi.view(np.ndarray)
+        self._prior_mass_view = self.prior_mass.view(np.ndarray)
+
+    @property
+    def _replays_touches(self) -> bool:
+        """Whether fold-in keeps the bank as an integer LRU (vectorized W-ary)."""
+        return (
+            self.backend is KernelBackend.VECTORIZED
+            and self.bank.kind is PreprocessKind.WARY_TREE
+        )
 
     @classmethod
     def prepare(
@@ -585,21 +530,82 @@ class FrozenModelState:
 
     def fold_in(
         self,
-        word_ids: Sequence[int],
-        rng: np.random.Generator,
+        documents: Sequence[Sequence[int]],
+        rngs: Sequence[np.random.Generator],
         num_sweeps: int = 15,
-    ) -> FoldInResult:
-        """Fold one document in against this frozen state."""
-        return fold_in_document(
-            word_ids,
-            self.phi,
-            self.prior_mass,
-            self.model.params.alpha,
-            self.bank,
-            rng,
-            num_sweeps=num_sweeps,
-            backend=self.backend,
+    ) -> List[FoldInResult]:
+        """Fold a batch of unseen documents in against this frozen state.
+
+        The single fold-in entry point of serving: one call per
+        micro-batch, document ``d`` drawing from ``rngs[d]`` only, so
+        results never depend on the rest of the batch.  The vectorized
+        W-ary execution runs each sweep over the whole batch at once
+        (:func:`repro.kernels.foldin.fold_in_sweeps`), samples Problem 2
+        from the bank's ``phi_cdf`` and replays the sampler-bank touches
+        request by request into the bank's integer LRU
+        (:meth:`WordSamplerBank.touch`), so the build counters match a
+        per-document fold-in while no tree is built.  The reference
+        execution and the alias kind fold each document in on its own
+        (:func:`_fold_in_one`).  Every execution consumes the same
+        uniforms in the same order, leaves the bank with the same LRU
+        order and counters, and produces bit-identical results.
+        """
+        if num_sweeps < 1:
+            raise ValueError("num_sweeps must be >= 1")
+        if len(documents) != len(rngs):
+            raise ValueError("fold_in needs one generator per document")
+        documents = [np.asarray(word_ids, dtype=np.int64) for word_ids in documents]
+        vocabulary_size, num_topics = self.phi.shape
+        if any(word_ids.size for word_ids in documents):
+            every_word = np.concatenate(documents)
+            if every_word.min() < 0 or every_word.max() >= vocabulary_size:
+                raise ValueError("query word ids must be in [0, vocabulary_size)")
+        alpha = self.model.params.alpha
+        phi, prior_mass = self._phi_view, self._prior_mass_view
+        if not self._replays_touches:
+            return [
+                _fold_in_one(
+                    word_ids, phi, prior_mass, alpha, self.bank, rng, num_sweeps, self.backend
+                )
+                for word_ids, rng in zip(documents, rngs, strict=True)
+            ]
+
+        if self._phi_cdf_view is None:
+            self._phi_cdf_view = self.bank.phi_cdf.view(np.ndarray)
+        sweeps = fold_in_sweeps(
+            documents, phi, self._phi_cdf_view, prior_mass, rngs, num_sweeps
         )
+        self.bank.touch(sweeps.touched_words)
+        num_docs = len(documents)
+        counts = np.zeros((num_docs, num_topics), dtype=np.int64)
+        count_docs = np.repeat(np.arange(num_docs), np.diff(sweeps.count_indptr))
+        counts[count_docs, sweeps.count_topics] = sweeps.count_values
+        lengths = np.diff(sweeps.doc_offsets)
+        theta = (counts + alpha) / (lengths + num_topics * alpha)[:, None]
+        theta[lengths == 0] = 1.0 / num_topics
+        offsets = sweeps.doc_offsets.tolist()
+        # Each result owns its arrays: a view would pin the whole batch's.
+        return [
+            FoldInResult(
+                theta[d].copy(),
+                counts[d].copy(),
+                sweeps.topics[offsets[d] : offsets[d + 1]].copy(),
+                num_sweeps,
+            )
+            for d in range(num_docs)
+        ]
+
+    def touch_samplers(self, word_ids: Sequence[int]) -> None:
+        """Touch the samplers of ``word_ids`` in order, as fold-in would.
+
+        An integer-LRU replay on the vectorized W-ary path (no tree is
+        built), the bank's own sampler builds otherwise.
+        """
+        if self._replays_touches:
+            self.bank.touch(np.asarray(word_ids, dtype=np.int64))
+            return
+        for word_id in np.asarray(word_ids, dtype=np.int64).tolist():
+            self.bank.sampler(word_id)
 
 
 def request_rng(seed: int, request_id: int) -> np.random.Generator:

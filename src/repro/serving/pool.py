@@ -360,10 +360,10 @@ class EnginePool:
         """
         engine = self.engines[0]
         mark = engine.state.bank.begin_batch()
-        results = [
-            engine.infer_request(request.word_ids, request.request_id)
-            for request in batch.requests
-        ]
+        results = engine.infer_requests(
+            [request.word_ids for request in batch.requests],
+            [request.request_id for request in batch.requests],
+        )
         built = engine.state.bank.builds_since(mark)
         stats = engine.batch_stats(batch, results)
         per_engine_phases: List[Dict[str, float]] = []

@@ -323,12 +323,13 @@ def _worker_main(spec: WorkerJobSpec, task_queue, result_queue) -> None:
                 time.sleep(total_stall)
             with tracer.span("worker_batch", category="worker", track=track,
                              batch_id=batch_id, docs=len(payload)):
-                results = []
-                for request_id, word_ids in payload:
-                    with tracer.span("fold_in", category="worker", track=track):
-                        results.append(
-                            _fold_in_payload(state, spec, request_id, word_ids)
-                        )
+                with tracer.span("fold_in", category="worker", track=track,
+                                 docs=len(payload)):
+                    folded = _fold_in_payload(state, spec.seed, spec.num_sweeps, payload)
+                results = [
+                    (request_id, result.theta, result.doc_topic_counts, result.topics)
+                    for (request_id, _word_ids), result in zip(payload, folded, strict=True)
+                ]
             seconds = time.monotonic() - started
             if action.drop_reply:
                 # The work happened; the answer vanishes on the wire.
@@ -380,12 +381,14 @@ def _worker_main(spec: WorkerJobSpec, task_queue, result_queue) -> None:
 
 
 def _fold_in_payload(
-    state: FrozenModelState, spec: WorkerJobSpec, request_id: int, word_ids: np.ndarray
-) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """One request's fold-in, keyed exactly like the in-process engine."""
-    rng = request_rng(spec.seed, request_id)
-    result = state.fold_in(word_ids, rng, num_sweeps=spec.num_sweeps)
-    return (request_id, result.theta, result.doc_topic_counts, result.topics)
+    state: FrozenModelState, seed: int, num_sweeps: int, payload: Sequence[RequestPayload]
+) -> List[FoldInResult]:
+    """One batch's fold-in in one call, each request keyed like the in-process engine."""
+    return state.fold_in(
+        [word_ids for _request_id, word_ids in payload],
+        [request_rng(seed, request_id) for request_id, _word_ids in payload],
+        num_sweeps=num_sweeps,
+    )
 
 
 def _default_start_method() -> str:
@@ -1250,14 +1253,9 @@ class WorkerPool:
         flight = self._in_flight.pop(batch_id)
         self.fallback_batches += 1
         self.metrics.counter("pool.fallback_batches").inc()
-        results = []
-        for request_id, word_ids in flight.payload:
-            rng = request_rng(self.seed, request_id)
-            results.append(
-                self._fallback_state.fold_in(
-                    word_ids, rng, num_sweeps=self.num_sweeps
-                )
-            )
+        results = _fold_in_payload(
+            self._fallback_state, self.seed, self.num_sweeps, flight.payload
+        )
         self.answered += len(flight.payload)
         return self._record_outcome(
             BatchOutcome(

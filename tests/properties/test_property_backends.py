@@ -25,7 +25,7 @@ from repro.kernels import (
 from repro.saberlda.config import PreprocessKind
 from repro.saberlda.estep import WordSide, esca_estep
 from repro.sampling.wary_tree import WaryTree
-from repro.serving.foldin import WordSamplerBank, fold_in_document
+from repro.serving.foldin import FrozenModelState
 
 # --------------------------------------------------------------------- #
 # Strategies
@@ -130,18 +130,16 @@ class TestFoldInBackendEquivalence:
         self, query, num_topics, kind, num_sweeps, capacity, seed
     ):
         model = _fold_in_model(num_topics, 30, seed)
-        phi = model.fold_in_phi()
-        prior_mass = model.params.alpha * phi.sum(axis=1)
         results = {}
         banks = {}
         for backend in KernelBackend:
-            bank = WordSamplerBank(phi=phi, kind=kind, capacity=capacity)
-            results[backend] = fold_in_document(
-                query, phi, prior_mass, model.params.alpha, bank,
-                np.random.default_rng(seed + 3), num_sweeps=num_sweeps,
-                backend=backend,
+            state = FrozenModelState.prepare(
+                model, kind=kind, sampler_capacity=capacity, backend=backend
             )
-            banks[backend] = bank
+            [results[backend]] = state.fold_in(
+                [query], [np.random.default_rng(seed + 3)], num_sweeps=num_sweeps
+            )
+            banks[backend] = state.bank
         reference = results[KernelBackend.REFERENCE]
         vectorized = results[KernelBackend.VECTORIZED]
         assert np.array_equal(reference.topics, vectorized.topics)

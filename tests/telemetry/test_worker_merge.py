@@ -111,7 +111,11 @@ class TestTracedServing:
         names = [span.name for span in tracer.spans]
         assert names.count("ipc_batch") == len(report.batches)
         assert names.count("worker_batch") >= 1
-        assert names.count("fold_in") == report.answered
+        # One fold_in span per batch, carrying its document count.
+        fold_in_docs = [
+            span.args_dict()["docs"] for span in tracer.spans if span.name == "fold_in"
+        ]
+        assert sum(fold_in_docs) == report.answered
         # seq strictly increasing over the combined record.
         seqs = [span.seq for span in tracer.spans]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
